@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint verify bench store-bench runtime-bench stream-bench service-bench tier-bench replica-bench chaos-soak daemon-soak examples outputs clean
+.PHONY: install test lint verify bench pipeline-bench bench-test store-bench runtime-bench stream-bench service-bench tier-bench replica-bench chaos-soak daemon-soak examples outputs clean
 
 install:
 	pip install -e .
@@ -24,6 +24,15 @@ verify:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The pipeline benchmark (bench/README.md): every workload in
+# BENCHMARK.json, end-to-end metrics per run.  Takes several minutes.
+pipeline-bench:
+	python3 bench/run.py
+
+# The pipeline benchmark's own tests (about half a minute).
+bench-test:
+	python3 -m pytest bench/test_bench.py -q
 
 # Cold generate-and-parse vs warm shard-backed study (asserts >=3x).
 store-bench:

@@ -82,18 +82,10 @@ def realize_tcp(
             return ts
         packets.append(
             make_tcp_packet(
-                ts=ts,
-                src_mac=src.mac,
-                dst_mac=dst.mac,
-                src_ip=src.ip,
-                dst_ip=dst.ip,
-                src_port=src.port,
-                dst_port=dst.port,
-                seq=seq if seq is not None else src.snd_nxt,
-                ack=dst.snd_nxt if flags & ACK else 0,
-                flags=flags,
-                payload=payload,
-                mss=mss,
+                ts, src.mac, dst.mac, src.ip, dst.ip, src.port, dst.port,
+                src.snd_nxt if seq is None else seq,
+                dst.snd_nxt if flags & ACK else 0,
+                flags, payload, mss,
             )
         )
         return ts

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 from ..util.addr import Subnet, ip_to_int
@@ -84,10 +85,15 @@ class EnterpriseSubnet:
     subnet: Subnet
     hosts: list[Host] = field(default_factory=list)
 
-    @property
-    def workstations(self) -> list[Host]:
-        """Hosts usable as ordinary clients."""
-        return [host for host in self.hosts if Role.WORKSTATION in host.roles]
+    @cached_property
+    def workstations(self) -> tuple[Host, ...]:
+        """Hosts usable as ordinary clients.
+
+        Computed on first use, which comes after :class:`Enterprise` has
+        placed every role; a tuple, so no caller can change what the
+        others see.
+        """
+        return tuple(host for host in self.hosts if Role.WORKSTATION in host.roles)
 
     def servers(self, role: Role) -> list[Host]:
         """Hosts on this subnet holding ``role``."""

@@ -13,6 +13,7 @@ from .checksum import internet_checksum
 
 __all__ = [
     "IPV4_HEADER_LEN",
+    "IPV4_FLAG_DF",
     "PROTO_ICMP",
     "PROTO_IGMP",
     "PROTO_TCP",
@@ -25,6 +26,8 @@ __all__ = [
 ]
 
 IPV4_HEADER_LEN = 20
+#: The don't-fragment bit of the flags/fragment-offset word.
+IPV4_FLAG_DF = 0x4000
 
 PROTO_ICMP = 1
 PROTO_IGMP = 2
@@ -59,7 +62,7 @@ class Ipv4Packet:
     def encode(self) -> bytes:
         """Serialize header + payload with a correct header checksum."""
         total = IPV4_HEADER_LEN + len(self.payload)
-        flags_fragment = 0x4000 if self.flags_df else 0
+        flags_fragment = IPV4_FLAG_DF if self.flags_df else 0
         header = _HEADER.pack(
             (4 << 4) | 5,  # version 4, IHL 5
             self.dscp << 2,
@@ -115,6 +118,6 @@ class Ipv4Packet:
             ttl=ttl,
             ident=ident,
             dscp=tos >> 2,
-            flags_df=bool(flags_fragment & 0x4000),
+            flags_df=bool(flags_fragment & IPV4_FLAG_DF),
             total_length=total,
         )

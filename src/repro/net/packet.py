@@ -12,17 +12,18 @@ import struct
 from dataclasses import dataclass
 
 from .arp import ArpPacket
+from .checksum import fold_words
 from .ethernet import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     ETHERTYPE_IPX,
     EthernetFrame,
 )
-from .icmp import IcmpMessage
-from .ipv4 import IPV4_HEADER_LEN, PROTO_ICMP, PROTO_TCP, PROTO_UDP, Ipv4Packet
+from .icmp import ICMP_HEADER_LEN
+from .ipv4 import IPV4_FLAG_DF, IPV4_HEADER_LEN, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from .ipx import IpxPacket
-from .tcp import TcpSegment
-from .udp import UdpDatagram
+from .tcp import TCP_DEFAULT_WINDOW, TCP_HEADER_LEN
+from .udp import UDP_HEADER_LEN
 
 __all__ = [
     "CapturedPacket",
@@ -125,6 +126,34 @@ _IP_UNPACK = struct.Struct("!BBHHHBBH4s4s").unpack_from
 _TCP_UNPACK = struct.Struct("!HHIIBBH").unpack_from
 _UDP_UNPACK = struct.Struct("!HHHH").unpack_from
 _FROM_BYTES = int.from_bytes
+
+# The builders pack Ethernet (each MAC as 16 + 32 bits), a 20-byte IPv4
+# header and the L4 header in one struct.pack, and compute every checksum
+# from the header fields as integers plus the payload's word-sum fold
+# (see repro.net.checksum); the layer dataclasses are the general codec
+# the output must equal.
+_ETH_IPV4 = "!HIHIH" "BBHHHBBHII"
+_TCP_FRAME = struct.Struct(_ETH_IPV4 + "HHIIBBHHH")
+_UDP_FRAME = struct.Struct(_ETH_IPV4 + "HHHH")
+_ICMP_FRAME = struct.Struct(_ETH_IPV4 + "BBHHH")
+_MSS_OPTION = struct.Struct("!HH")
+_MSS_KIND_LEN = 0x0204  # option kind 2 (MSS), length 4
+#: The IPv4 header's constant words: version/IHL/TOS and flags.
+_IP_CONST = 0x4500 + IPV4_FLAG_DF
+
+
+def _eth_ipv4(
+    src_mac: int, dst_mac: int, src_ip: int, dst_ip: int,
+    proto: int, total: int, ident: int, ttl: int,
+) -> tuple[int, ...]:
+    """The Ethernet and IPv4 header fields of one frame, checksum included."""
+    return (
+        dst_mac >> 32, dst_mac & 0xFFFFFFFF, src_mac >> 32, src_mac & 0xFFFFFFFF,
+        ETHERTYPE_IPV4,
+        0x45, 0, total, ident, IPV4_FLAG_DF, ttl, proto,
+        -(_IP_CONST + total + ident + (ttl << 8) + proto + src_ip + dst_ip) % 0xFFFF,
+        src_ip, dst_ip,
+    )
 
 
 def decode_packet(pkt: CapturedPacket) -> DecodedPacket:
@@ -233,28 +262,28 @@ def make_tcp_packet(
     ident: int = 0,
 ) -> CapturedPacket:
     """Craft a full Ethernet/IPv4/TCP packet."""
-    segment = TcpSegment(
-        src_port=src_port,
-        dst_port=dst_port,
-        seq=seq,
-        ack=ack,
-        flags=flags,
-        payload=payload,
-        mss=mss,
+    seq &= 0xFFFFFFFF
+    ack &= 0xFFFFFFFF
+    ident &= 0xFFFF
+    header_len = TCP_HEADER_LEN if mss is None else TCP_HEADER_LEN + 4
+    tcp_len = header_len + len(payload)
+    total = IPV4_HEADER_LEN + tcp_len
+    tcp_sum = (
+        src_ip + dst_ip + PROTO_TCP + tcp_len  # pseudo-header
+        + src_port + dst_port + seq + ack + (header_len << 10 | flags) + TCP_DEFAULT_WINDOW
+        + fold_words(payload)
     )
-    ip = Ipv4Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        proto=PROTO_TCP,
-        payload=segment.encode(src_ip, dst_ip),
-        ttl=ttl,
-        ident=ident,
+    if mss is not None:
+        tcp_sum += _MSS_KIND_LEN + mss
+    frame = _TCP_FRAME.pack(
+        *_eth_ipv4(src_mac, dst_mac, src_ip, dst_ip, PROTO_TCP, total, ident, ttl),
+        src_port, dst_port, seq, ack, header_len << 2, flags, TCP_DEFAULT_WINDOW,
+        -tcp_sum % 0xFFFF, 0,
     )
-    frame = EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip.encode()
-    )
-    data = frame.encode()
-    return CapturedPacket(ts=ts, data=data, wire_len=len(data))
+    if mss is not None:
+        frame += _MSS_OPTION.pack(_MSS_KIND_LEN, mss)
+    data = frame + payload
+    return CapturedPacket(ts, data, len(data))
 
 
 def make_udp_packet(
@@ -270,20 +299,19 @@ def make_udp_packet(
     ident: int = 0,
 ) -> CapturedPacket:
     """Craft a full Ethernet/IPv4/UDP packet."""
-    datagram = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=payload)
-    ip = Ipv4Packet(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        proto=PROTO_UDP,
-        payload=datagram.encode(src_ip, dst_ip),
-        ttl=ttl,
-        ident=ident,
+    ident &= 0xFFFF
+    udp_len = UDP_HEADER_LEN + len(payload)
+    total = IPV4_HEADER_LEN + udp_len
+    udp_sum = (
+        src_ip + dst_ip + PROTO_UDP + udp_len  # pseudo-header
+        + src_port + dst_port + udp_len + fold_words(payload)
     )
-    frame = EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip.encode()
-    )
-    data = frame.encode()
-    return CapturedPacket(ts=ts, data=data, wire_len=len(data))
+    data = _UDP_FRAME.pack(
+        *_eth_ipv4(src_mac, dst_mac, src_ip, dst_ip, PROTO_UDP, total, ident, ttl),
+        src_port, dst_port, udp_len,
+        -udp_sum % 0xFFFF or 0xFFFF,  # RFC 768: a transmitted 0 means "no checksum"
+    ) + payload
+    return CapturedPacket(ts, data, len(data))
 
 
 def make_icmp_packet(
@@ -300,17 +328,16 @@ def make_icmp_packet(
     ttl: int = 64,
 ) -> CapturedPacket:
     """Craft a full Ethernet/IPv4/ICMP packet."""
-    msg = IcmpMessage(
-        icmp_type=icmp_type, code=code, ident=ident, sequence=sequence, payload=payload
-    )
-    ip = Ipv4Packet(
-        src_ip=src_ip, dst_ip=dst_ip, proto=PROTO_ICMP, payload=msg.encode(), ttl=ttl
-    )
-    frame = EthernetFrame(
-        dst_mac=dst_mac, src_mac=src_mac, ethertype=ETHERTYPE_IPV4, payload=ip.encode()
-    )
-    data = frame.encode()
-    return CapturedPacket(ts=ts, data=data, wire_len=len(data))
+    total = IPV4_HEADER_LEN + ICMP_HEADER_LEN + len(payload)
+    fields = (icmp_type << 8 | code) + ident + sequence
+    icmp_checksum = -(fields + fold_words(payload)) % 0xFFFF
+    if not icmp_checksum and not fields and not any(payload):
+        icmp_checksum = 0xFFFF  # all-zero message: the folded sum is 0, not 0xFFFF
+    data = _ICMP_FRAME.pack(
+        *_eth_ipv4(src_mac, dst_mac, src_ip, dst_ip, PROTO_ICMP, total, 0, ttl),
+        icmp_type, code, icmp_checksum, ident, sequence,
+    ) + payload
+    return CapturedPacket(ts, data, len(data))
 
 
 def make_arp_packet(

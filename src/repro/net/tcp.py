@@ -15,6 +15,7 @@ from .ipv4 import PROTO_TCP
 
 __all__ = [
     "TCP_HEADER_LEN",
+    "TCP_DEFAULT_WINDOW",
     "FIN",
     "SYN",
     "RST",
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 TCP_HEADER_LEN = 20
+TCP_DEFAULT_WINDOW = 65535
 
 FIN = 0x01
 SYN = 0x02
@@ -58,7 +60,7 @@ class TcpSegment:
     ack: int
     flags: int
     payload: bytes = b""
-    window: int = 65535
+    window: int = TCP_DEFAULT_WINDOW
     mss: int | None = None
     urgent: int = 0
 

@@ -41,22 +41,33 @@ class PcapWriter:
 
     def write(self, pkt: CapturedPacket) -> None:
         """Append one packet record, truncating to the snaplen."""
-        data = pkt.data[: self.snaplen]
-        ts_sec = int(pkt.ts)
-        ts_usec = int(round((pkt.ts - ts_sec) * 1e6))
-        if ts_usec >= 1_000_000:  # rounding can carry into the next second
-            ts_sec += 1
-            ts_usec -= 1_000_000
-        self._stream.write(RECORD_HEADER.pack(ts_sec, ts_usec, len(data), pkt.wire_len))
-        self._stream.write(data)
-        self.packets_written += 1
+        self.write_all((pkt,))
 
     def write_all(self, packets: Iterable[CapturedPacket]) -> int:
-        """Append many packets; returns the number written."""
+        """Append many packets; returns the number written.
+
+        Each record is two stream writes, header then data, so a fault
+        plane counting writes sees the same indices for any batching;
+        ``packets_written`` counts whole records even when a write fails.
+        """
+        write = self._stream.write
+        pack = RECORD_HEADER.pack
+        snaplen = self.snaplen
         count = 0
-        for pkt in packets:
-            self.write(pkt)
-            count += 1
+        try:
+            for pkt in packets:
+                data = pkt.data[:snaplen]
+                ts = pkt.ts
+                ts_sec = int(ts)
+                ts_usec = round((ts - ts_sec) * 1e6)
+                if ts_usec >= 1_000_000:  # rounding can carry into the next second
+                    ts_sec += 1
+                    ts_usec -= 1_000_000
+                write(pack(ts_sec, ts_usec, len(data), pkt.wire_len))
+                write(data)
+                count += 1
+        finally:
+            self.packets_written += count
         return count
 
     def close(self) -> None:

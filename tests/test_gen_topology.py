@@ -86,6 +86,15 @@ class TestPeerPicking:
         host = enterprise.pick_workstation(rng, enterprise.subnets[1])
         assert host.subnet_index == 1
 
+    def test_workstations_match_the_role_filter(self):
+        enterprise = Enterprise(seed=5)
+        enterprise.subnets[0].hosts[0].roles.discard(Role.WORKSTATION)
+        for subnet in enterprise.subnets:
+            expected = [host for host in subnet.hosts if Role.WORKSTATION in host.roles]
+            assert list(subnet.workstations) == expected
+            assert isinstance(subnet.workstations, tuple)  # shared, so immutable
+            assert subnet.workstations is subnet.workstations
+
 
 class TestWanAddress:
     def test_outside_enterprise(self):
