@@ -70,6 +70,18 @@ def test_same_seed_runs_shard_byte_identically(tmp_path):
     assert digests[0]  # non-empty: 2 trace shards + 1 dataset shard
 
 
+def test_default_knob_cache_keys_are_pinned(tmp_path):
+    """The content and generation keys of a default run are fixed hex
+    values, so a change to the engine's options cannot silently orphan
+    every existing store."""
+    run_study(seed=7, scale=0.002, datasets=("D1",), max_windows=1,
+              store_dir=str(tmp_path))
+    assert sorted(p.stem for p in (tmp_path / "manifests").glob("*.json")) == [
+        "a654f1a042457b6369977b5f3a2f0feb0c6e1f3d05543c0617ee617b5ae702fa",
+        "gen-6fadea57f5a2722016e93867d0b4d901cb5860f904e62251855f1ec3c2abd774",
+    ]
+
+
 def test_changed_parameters_miss_the_generation_cache(store_study, monkeypatch):
     _, root = store_study
     _forbid_pcap_parsing(monkeypatch)
