@@ -42,7 +42,7 @@ store-bench:
 runtime-bench:
 	PYTHONPATH=src python -m pytest benchmarks/test_throughput.py::TestRuntimeScaling -q -s
 
-# Batch vs streaming engine throughput + peak memory; writes BENCH_stream.json.
+# Ingest engine throughput + peak memory on traces 4x apart; writes BENCH_stream.json.
 stream-bench:
 	PYTHONPATH=src python -m pytest benchmarks/test_stream_bench.py -q -s
 

@@ -131,7 +131,7 @@ def test_enospc_during_soak_is_absorbed_and_accounted(tmp_path, clean_stdout):
 
 
 def test_kill_mid_checkpoint_then_resume_stream(tmp_path, emit):
-    """Kill the streaming engine at checkpoint publication; the resumed
+    """Kill the ingest engine at checkpoint publication; the resumed
     run picks up from the last durable checkpoint (or trace start) and
     renders the same bytes as an uninterrupted stream run."""
     clean = _run(_STREAM + ["--jobs", "1"])

@@ -1,13 +1,12 @@
-"""Batch vs streaming engine: throughput and peak memory (``make stream-bench``).
+"""Ingest engine: throughput and peak memory (``make stream-bench``).
 
-Not a paper artifact — this measures the resource claim the streaming
-engine makes (``docs/streaming.md``): same products, peak memory bounded
-by the live-flow population instead of the trace size.  Two synthetic
-traces (4x apart in size, identical live-flow population) are pushed
-through both engines; wall clock and ``tracemalloc`` peaks land in
+Not a paper artifact — this measures the resource claim the ingest
+engine makes (``docs/streaming.md``): peak memory bounded by the
+live-flow population instead of the trace size.  Two synthetic traces
+(4x apart in size, identical live-flow population) are pushed through
+the engine; wall clock and ``tracemalloc`` peaks land in
 ``BENCH_stream.json``.  The sub-linearity bar: quadrupling the trace
-must not double the streaming engine's peak, while the batch engine's
-peak tracks the trace size.
+must not double the engine's peak.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import tracemalloc
 from repro.analysis.engine import DatasetAnalyzer
 from repro.net.packet import make_udp_packet
 from repro.pcap.writer import PcapWriter
-from repro.stream.engine import StreamDatasetAnalyzer
 
 _PAYLOAD = b"b" * 400
 _HOSTS = 100  # constant live-flow population in both traces
@@ -40,11 +38,11 @@ def _write_trace(path, packets):
     return path.stat().st_size
 
 
-def _measure(make_analyzer, path):
+def _measure(path):
     """(wall seconds, tracemalloc peak bytes, connection count)."""
 
     def run():
-        analyzer = make_analyzer()
+        analyzer = DatasetAnalyzer("BENCH", full_payload=False)
         analyzer.process_pcap(path)
         return len(analyzer.finish().conns)
 
@@ -68,27 +66,21 @@ class TestStreamScaling:
         for label, packets in sizes.items():
             path = tmp_path / f"{label}.pcap"
             file_bytes = _write_trace(path, packets)
-            entry = {"packets": packets, "file_bytes": file_bytes}
-            for engine, factory in (
-                ("batch", lambda: DatasetAnalyzer("BENCH", full_payload=False)),
-                ("stream", lambda: StreamDatasetAnalyzer("BENCH", full_payload=False)),
-            ):
-                wall_s, peak, conns = _measure(factory, path)
-                entry[engine] = {
+            wall_s, peak, conns = _measure(path)
+            assert conns == _HOSTS
+            peaks[label] = peak
+            report["traces"][label] = {
+                "packets": packets,
+                "file_bytes": file_bytes,
+                "stream": {
                     "wall_s": round(wall_s, 4),
                     "pkts_per_s": round(packets / wall_s) if wall_s else None,
                     "peak_bytes": peak,
-                }
-                peaks[(engine, label)] = peak
-                assert conns == _HOSTS
-            report["traces"][label] = entry
+                },
+            }
         (output_dir / "BENCH_stream.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"\nstream scaling: {json.dumps(report, indent=2, sort_keys=True)}")
-        # Sub-linearity: 4x the packets, < 2x the streaming peak ...
-        assert peaks[("stream", "large")] < 2 * peaks[("stream", "small")]
-        # ... while the batch peak grows with the trace and dwarfs
-        # streaming on the large one.
-        assert peaks[("batch", "large")] > 2 * peaks[("batch", "small")]
-        assert peaks[("stream", "large")] < peaks[("batch", "large")] / 4
+        # Sub-linearity: 4x the packets, < 2x the peak.
+        assert peaks["large"] < 2 * peaks["small"]

@@ -13,14 +13,14 @@ import json
 import time
 
 from repro.analysis.analyzers import DEFAULT_ANALYZERS
+from repro.analysis.engine import DatasetAnalyzer
 from repro.analysis.errors import ErrorPolicy
+from repro.analysis.flow import FlowTable
 from repro.gen.capture import generate_dataset
 from repro.gen.topology import ENTERPRISE_NET, Enterprise
 from repro.store import compact_checkpoints
 from repro.store.tier import init_tier
 from repro.stream.checkpoint import StreamCheckpointer
-from repro.stream.engine import StreamDatasetAnalyzer
-from repro.stream.flowtable import StreamFlowTable
 
 #: The acceptance floor: hot reads must beat cold reads by this factor.
 _MIN_SPEEDUP = 3.0
@@ -49,16 +49,16 @@ def _finished_results(tmp_path):
         scale=0.004, max_windows=2,
     )
     captured: list = []
-    real_finish = StreamFlowTable.finish
+    real_finish = FlowTable.finish
 
     def spying(self):
         results = real_finish(self)
         captured.extend(results)
         return results
 
-    StreamFlowTable.finish = spying
+    FlowTable.finish = spying
     try:
-        analyzer = StreamDatasetAnalyzer(
+        analyzer = DatasetAnalyzer(
             "D0",
             full_payload=dataset.config.full_payload,
             internal_net=ENTERPRISE_NET,
@@ -68,7 +68,7 @@ def _finished_results(tmp_path):
         analyzer.process_pcap(dataset.traces[0].path)
         analyzer.finish()
     finally:
-        StreamFlowTable.finish = real_finish
+        FlowTable.finish = real_finish
     return captured
 
 

@@ -1,10 +1,11 @@
 """The dataset analysis engine: traces in, analysis products out.
 
 One :class:`DatasetAnalyzer` consumes a dataset's trace files in order,
-running the flow table, the network-layer accounting (Table 2), per-trace
-utilization and retransmission accounting (Figures 9-10), and every
-registered application analyzer, then aggregates the results into a
-:class:`DatasetAnalysis`.
+each in a single bounded-memory pass: the flow table, the network-layer
+accounting (Table 2), per-trace utilization and retransmission
+accounting (Figures 9-10), live per-window aggregates, optional crash
+checkpoints, and every registered application analyzer, then aggregates
+the results into a :class:`DatasetAnalysis` (see ``docs/streaming.md``).
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import Iterable, Sequence
 
 from ..net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, ETHERTYPE_IPX
 from ..net.packet import CapturedPacket, DecodedPacket, decode_packet
-from ..pcap.reader import PcapReader
+from ..stream.aggregates import WindowAggregator, WindowObserver
+from ..stream.source import PacketSource
 from ..util.addr import Subnet
 from ..util.stats import Summary
-from ..util.timeline import ByteTimeline
+from ..util.timeline import ByteTimeline, StreamingTimeline
 from .conn import DEFAULT_INTERNAL_NET, ConnRecord
 from .errors import (
     AnalyzerFailure,
@@ -26,12 +28,20 @@ from .errors import (
     ErrorBudget,
     ErrorKind,
     ErrorPolicy,
+    IngestionError,
     TraceErrorLog,
     TraceQuarantined,
 )
-from .flow import FlowResult, FlowTable
+from .flow import DEFAULT_IDLE_TIMEOUT, DEFAULT_MAX_FLOWS, FlowResult, FlowTable
 
-__all__ = ["TraceStats", "DatasetAnalysis", "DatasetAnalyzer", "Analyzer"]
+__all__ = [
+    "TraceStats",
+    "DatasetAnalysis",
+    "DatasetAnalyzer",
+    "Analyzer",
+    "StreamConfig",
+    "StreamDrained",
+]
 
 
 class Analyzer:
@@ -210,8 +220,77 @@ class DatasetAnalysis:
         }
 
 
+class StreamDrained(Exception):
+    """A cooperative mid-trace stop, requested via ``drain_event``.
+
+    Raised from inside the packet loop *after* a final checkpoint has
+    been flushed (when checkpointing is active), so the trace is not a
+    loss: a follow-up run resumes exactly at the drained packet.  This
+    is how the ingestion daemon implements graceful SIGTERM — the
+    supervisor sets the event, the feed surfaces this instead of a
+    half-finished trace result.
+    """
+
+    def __init__(self, label: str, packets: int) -> None:
+        super().__init__(f"drained {label} after {packets} packets")
+        self.label = label
+        self.packets = packets
+
+
+@dataclass(frozen=True)
+class StreamConfig:
+    """The ingest knobs of a study, as :class:`DatasetAnalyzer` keywords.
+
+    ``max_flows``, ``idle_timeout``, and ``hard_timeout`` can change
+    which connection records are emitted (they split flows when turned
+    down), so non-default values fork the analysis cache key; ``window``
+    and ``checkpoint_every`` are pure observability/durability knobs and
+    never affect records.
+    """
+
+    #: Aggregation window for the live per-window statistics, seconds.
+    window: float = 60.0
+    #: Flow-table capacity (LRU eviction beyond it).
+    max_flows: int = DEFAULT_MAX_FLOWS
+    #: TCP idle eviction timeout, seconds (UDP/ICMP always use the
+    #: 60 s gap threshold).
+    idle_timeout: float = DEFAULT_IDLE_TIMEOUT
+    #: Optional flow age cap, seconds.
+    hard_timeout: float | None = None
+    #: Packets between checkpoint flushes; 0 disables checkpointing.
+    checkpoint_every: int = 0
+
+    def key_fork(self) -> dict | None:
+        """What the record-affecting knobs add to the cache keys.
+
+        ``None`` at the defaults, so default runs keep the historical
+        keys; turned-down eviction knobs can split flows, so they fork
+        the key instead of sharing entries with default runs.
+        """
+        if (
+            self.max_flows == DEFAULT_MAX_FLOWS
+            and self.idle_timeout == DEFAULT_IDLE_TIMEOUT
+            and self.hard_timeout is None
+        ):
+            return None
+        return {
+            "max_flows": self.max_flows,
+            "idle_timeout": self.idle_timeout,
+            "hard_timeout": self.hard_timeout,
+        }
+
+
 class DatasetAnalyzer:
     """Runs the full analysis pipeline over one dataset's traces.
+
+    Each trace is analyzed in one bounded-memory pass: packets come one
+    record at a time from a :class:`~repro.stream.source.PacketSource`,
+    flows live in a bounded :class:`~repro.analysis.flow.FlowTable`,
+    per-second utilization accumulates in a sparse
+    :class:`~repro.util.timeline.StreamingTimeline` (O(duration), not
+    O(packets)), and a :class:`~repro.stream.aggregates.WindowAggregator`
+    keeps live per-window aggregates.  Finished flows are dispatched to
+    the application analyzers in the table's batch order at trace end.
 
     Parameters
     ----------
@@ -224,6 +303,29 @@ class DatasetAnalyzer:
     analyzer_max_failures:
         Hook failures after which an application analyzer's circuit
         breaker opens and the analyzer is disabled (non-strict policies).
+
+    The keyword-only knobs are :class:`StreamConfig`'s fields
+    (``window``, ``max_flows``, ``idle_timeout``, ``hard_timeout``,
+    ``checkpoint_every``) plus:
+
+    ``store`` / ``checkpoint_base``
+        A :class:`~repro.store.cache.ConnStore` to flush checkpoints
+        into, and the key prefix naming this run (the study passes the
+        analysis cache key; each trace appends its index).  Without a
+        store, checkpointing is off and finished flows stay buffered in
+        memory until the trace ends.
+    ``window_observer``
+        Called once per closed aggregation window (live progress).
+    ``drain_event``
+        An object with ``is_set()`` (a ``threading.Event`` works).  When
+        it reads true mid-trace, the engine flushes a final checkpoint
+        and raises :class:`StreamDrained` instead of finishing the
+        trace — the daemon's graceful-shutdown hook.
+
+    The bounded-table eviction counters (``flow_overflow``,
+    ``early_eviction``) are folded into the trace's data-quality counts
+    directly — they are graceful-degradation notes, not defects, so they
+    never consume the error budget and never raise under ``strict``.
     """
 
     def __init__(
@@ -235,6 +337,16 @@ class DatasetAnalyzer:
         error_policy: ErrorPolicy | str = ErrorPolicy.STRICT,
         error_budget: ErrorBudget | None = None,
         analyzer_max_failures: int = 3,
+        *,
+        window: float = 60.0,
+        max_flows: int = DEFAULT_MAX_FLOWS,
+        idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
+        hard_timeout: float | None = None,
+        checkpoint_every: int = 0,
+        store=None,
+        checkpoint_base: str = "",
+        window_observer: WindowObserver | None = None,
+        drain_event=None,
     ) -> None:
         self.error_policy = ErrorPolicy.coerce(error_policy)
         self.error_budget = error_budget if error_budget is not None else ErrorBudget()
@@ -249,6 +361,15 @@ class DatasetAnalyzer:
             analyzer.name: CircuitBreaker(analyzer.name, analyzer_max_failures)
             for analyzer in self.analyzers
         }
+        self.config = StreamConfig(
+            window, max_flows, idle_timeout, hard_timeout, checkpoint_every
+        )
+        self.store = store
+        self.checkpoint_base = checkpoint_base or name
+        self.window_observer = window_observer
+        self.drain_event = drain_event
+        #: Per-trace window aggregate summaries, in trace order.
+        self.window_summaries: list[dict] = []
 
     def _new_error_log(self, path: str) -> TraceErrorLog:
         return TraceErrorLog(
@@ -258,7 +379,7 @@ class DatasetAnalyzer:
     # -- trace ingestion ------------------------------------------------------
 
     def process_pcap(self, path: str | Path) -> TraceStats:
-        """Analyze one trace file.
+        """Analyze one trace file, streaming it from disk.
 
         Under ``strict`` any defect raises an
         :class:`~repro.analysis.errors.IngestionError` naming the file
@@ -268,12 +389,15 @@ class DatasetAnalyzer:
         label = str(path)
         errors = self._new_error_log(label)
         try:
-            reader = PcapReader.open(path, errors=errors)
+            source = PacketSource.open(path, errors=errors)
         except TraceQuarantined as exc:
             # The global header was unreadable: nothing to salvage.
             return self._quarantined_trace(label, errors, exc.reason)
-        with reader:
-            return self.process_packets(reader, label=label, errors=errors)
+        with source:
+            return self.process_packets(source, label=label, errors=errors)
+
+    def _checkpoint_key(self, trace_index: int) -> str:
+        return f"{self.checkpoint_base}-t{trace_index:03d}"
 
     def process_packets(
         self,
@@ -281,22 +405,77 @@ class DatasetAnalyzer:
         label: str = "<memory>",
         errors: TraceErrorLog | None = None,
     ) -> TraceStats:
-        """Analyze one trace given as an iterable of captured packets."""
+        """Analyze one trace given as an iterable of captured packets.
+
+        The single pass: decode, account, flow-track, checkpoint.  Only a
+        file-backed :class:`~repro.stream.source.PacketSource` can be
+        checkpointed (resume seeks the file).
+        """
+        source = (
+            packets
+            if isinstance(packets, PacketSource)
+            else PacketSource(packets, path=label)
+        )
         errlog = errors if errors is not None else self._new_error_log(label)
         index = len(self.analysis.traces)
         stats = TraceStats(index=index, path=label)
-        table = FlowTable(
-            collect_payload=self.analysis.full_payload,
-            udp_observer=self._udp_observer,
-            trace_index=index,
-        )
-        points: list[tuple[float, int]] = []
-        l2 = {"ip": 0, "arp": 0, "ipx": 0, "other": 0}
-        min_ts = None
-        max_ts = 0.0
-        prev_ts = None
+        config = self.config
+
+        checkpointer = None
+        resume_state: dict | None = None
+        if (
+            self.store is not None
+            and config.checkpoint_every > 0
+            and source.offset is not None
+        ):
+            from ..stream.checkpoint import StreamCheckpointer
+
+            key = self._checkpoint_key(index)
+            loaded = StreamCheckpointer.load(self.store, key)
+            if loaded is not None:
+                checkpointer, resume_state = loaded
+            else:
+                checkpointer = StreamCheckpointer(self.store, key)
+
+        aggregator = self._make_aggregator(resume_state)
+        table = self._make_table(index, aggregator, resume_state)
+
+        if resume_state is not None:
+            trace = resume_state["trace"]
+            stats.packets = trace["packets"]
+            stats.timestamp_regressions = trace["timestamp_regressions"]
+            stats.other_ip_protocols = dict(trace["other_ip_protocols"])
+            l2 = dict(trace["l2"])
+            min_ts = trace["min_ts"]
+            max_ts = trace["max_ts"]
+            prev_ts = trace["prev_ts"]
+            wire_bytes = trace["wire_bytes"]
+            timeline = StreamingTimeline.restore(resume_state["timeline"])
+            saved = resume_state["errlog"]
+            errlog.counts.update(saved["counts"])
+            errlog.samples.extend(saved["samples"])
+            errlog.records_ok = saved["records_ok"]
+            source.resume_at(
+                resume_state["source"]["offset"],
+                resume_state["source"]["packets_read"],
+            )
+        else:
+            l2 = {"ip": 0, "arp": 0, "ipx": 0, "other": 0}
+            min_ts = None
+            max_ts = 0.0
+            prev_ts = None
+            wire_bytes = 0
+            timeline = StreamingTimeline(1.0)
+
+        checkpoint_every = config.checkpoint_every if checkpointer is not None else 0
+        strict = self.error_policy is ErrorPolicy.STRICT
+        drain = self.drain_event
+        other_protocols = stats.other_ip_protocols
+        add_bytes = timeline.add
+        process = table.process
+        window_end = float("-inf")
         try:
-            for pkt in packets:
+            for pkt in source:
                 stats.packets += 1
                 try:
                     decoded = decode_packet(pkt)
@@ -309,56 +488,106 @@ class DatasetAnalyzer:
                         detail=f"{decoded.caplen}-byte frame (record {stats.packets})",
                     )
                     continue
-                errlog.records_ok += 1
                 ts = decoded.ts
+                if ts >= window_end:
+                    window_end = aggregator.roll(
+                        ts,
+                        (errlog.records_ok, wire_bytes, table.tcp_segments, table.tcp_retransmits),
+                    )
+                errlog.records_ok += 1
                 if prev_ts is not None and ts < prev_ts:
                     stats.timestamp_regressions += 1
                 prev_ts = ts
                 if min_ts is None:
                     min_ts = max_ts = ts
-                else:
-                    min_ts = min(min_ts, ts)
-                    max_ts = max(max_ts, ts)
-                if decoded.ethertype == ETHERTYPE_IPV4:
+                elif ts < min_ts:
+                    min_ts = ts
+                elif ts > max_ts:
+                    max_ts = ts
+                ethertype = decoded.ethertype
+                if ethertype == ETHERTYPE_IPV4:
                     l2["ip"] += 1
-                elif decoded.ethertype == ETHERTYPE_ARP:
+                elif ethertype == ETHERTYPE_ARP:
                     l2["arp"] += 1
-                elif decoded.ethertype == ETHERTYPE_IPX:
+                elif ethertype == ETHERTYPE_IPX:
                     l2["ipx"] += 1
                 else:
                     l2["other"] += 1
-                points.append((ts, decoded.wire_len))
-                if decoded.proto is not None and decoded.proto not in (1, 6, 17):
-                    stats.other_ip_protocols[decoded.proto] = (
-                        stats.other_ip_protocols.get(decoded.proto, 0) + 1
-                    )
+                wire_len = decoded.wire_len
+                wire_bytes += wire_len
+                add_bytes(ts, wire_len)
+                proto = decoded.proto
+                if proto is not None and proto not in (1, 6, 17):
+                    other_protocols[proto] = other_protocols.get(proto, 0) + 1
                 try:
-                    table.process(decoded)
+                    process(decoded)
                 except Exception as exc:
                     # Under strict, propagate raw: the exception may be an
                     # analyzer bug re-raised by _udp_observer, and wrapping
                     # it as a decode error would hide the real traceback.
-                    if self.error_policy is ErrorPolicy.STRICT:
+                    if strict:
                         raise
                     errlog.record(
                         ErrorKind.DECODE_ERROR, detail=f"flow ingestion: {exc!r}"
                     )
+                if checkpoint_every and stats.packets % checkpoint_every == 0:
+                    try:
+                        self._write_checkpoint(
+                            checkpointer, source, table, aggregator, timeline,
+                            errlog, stats, l2, min_ts, max_ts, prev_ts, wire_bytes,
+                        )
+                    except OSError as exc:
+                        # Checkpoints are durability, not correctness: a
+                        # full or failing disk costs resumability, never
+                        # results.  Strict still treats it as the defect
+                        # it is; tolerant degrades to buffering in memory
+                        # until trace end, with a data-quality row.
+                        if strict:
+                            raise IngestionError(
+                                ErrorKind.IO_ERROR, label, None,
+                                f"checkpoint publication failed: {exc}",
+                            ) from exc
+                        errlog.counts[ErrorKind.IO_ERROR.value] = (
+                            errlog.counts.get(ErrorKind.IO_ERROR.value, 0) + 1
+                        )
+                        checkpoint_every = 0
+                if drain is not None and drain.is_set():
+                    # Checked *after* the packet is fully accounted, so
+                    # the saved source offset (next unread record) agrees
+                    # with every counter — resume replays nothing, skips
+                    # nothing.
+                    if checkpoint_every:
+                        try:
+                            self._write_checkpoint(
+                                checkpointer, source, table, aggregator,
+                                timeline, errlog, stats, l2, min_ts, max_ts,
+                                prev_ts, wire_bytes,
+                            )
+                        except OSError:
+                            # Best-effort: a drain must not hang on a bad
+                            # disk; resume replays the last good state.
+                            pass
+                    raise StreamDrained(label, stats.packets)
         except TraceQuarantined as exc:
             stats.l2_counts = l2
             stats.errors = dict(errlog.counts)
             stats.quarantined = True
             stats.quarantine_reason = exc.reason
             self.analysis.traces.append(stats)
+            if checkpointer is not None:
+                checkpointer.clear()  # nothing left worth resuming
             return stats
         stats.l2_counts = l2
         stats.errors = dict(errlog.counts)
         if min_ts is not None:
             stats.start_ts = min_ts
             stats.end_ts = max(max_ts, min_ts + 1.0)
-            timeline = ByteTimeline(stats.start_ts, stats.end_ts, 1.0)
-            timeline.add_many(points)
-            stats.utilization = timeline
-        self._finish_trace(table, stats)
+            stats.utilization = timeline.freeze(stats.start_ts, stats.end_ts)
+        aggregator.finish(
+            (errlog.records_ok, wire_bytes, table.tcp_segments, table.tcp_retransmits)
+        )
+        self.window_summaries.append(aggregator.summary())
+        self._finish_trace(table, checkpointer, stats)
         self.analysis.traces.append(stats)
         return stats
 
@@ -371,6 +600,122 @@ class DatasetAnalyzer:
         stats.quarantine_reason = reason
         self.analysis.traces.append(stats)
         return stats
+
+    # -- ingestion helpers ------------------------------------------------------
+
+    def _make_aggregator(self, resume_state: dict | None) -> WindowAggregator:
+        if resume_state is not None:
+            return WindowAggregator.restore(
+                resume_state["aggregator"], observer=self.window_observer
+            )
+        return WindowAggregator(self.config.window, observer=self.window_observer)
+
+    def _make_table(
+        self, index: int, aggregator: WindowAggregator, resume_state: dict | None
+    ) -> FlowTable:
+        if resume_state is not None:
+            from ..stream.checkpoint import table_restore
+
+            table = table_restore(
+                resume_state["table"],
+                collect_payload=self.analysis.full_payload,
+                udp_observer=self._udp_observer,
+                trace_index=index,
+            )
+            table.flow_observer = aggregator.observe_flow
+            return table
+        config = self.config
+        return FlowTable(
+            collect_payload=self.analysis.full_payload,
+            udp_observer=self._udp_observer,
+            trace_index=index,
+            max_flows=config.max_flows,
+            idle_timeout=config.idle_timeout,
+            hard_timeout=config.hard_timeout,
+            flow_observer=aggregator.observe_flow,
+        )
+
+    def _write_checkpoint(
+        self,
+        checkpointer,
+        source: PacketSource,
+        table: FlowTable,
+        aggregator: WindowAggregator,
+        timeline: StreamingTimeline,
+        errlog: TraceErrorLog,
+        stats: TraceStats,
+        l2: dict[str, int],
+        min_ts: float | None,
+        max_ts: float,
+        prev_ts: float | None,
+        wire_bytes: int,
+    ) -> None:
+        """Drain safe results into a batch shard and publish the state."""
+        from ..stream.checkpoint import table_snapshot
+
+        drained = table.drain()
+        if drained:
+            try:
+                checkpointer.flush_batch(drained)
+            except BaseException:
+                # The batch never hit the disk: hand its results back to
+                # the table so nothing is lost when the caller degrades.
+                table.requeue(drained)
+                raise
+        checkpointer.save(
+            {
+                "trace": {
+                    "packets": stats.packets,
+                    "timestamp_regressions": stats.timestamp_regressions,
+                    "l2": dict(l2),
+                    "other_ip_protocols": dict(stats.other_ip_protocols),
+                    "min_ts": min_ts,
+                    "max_ts": max_ts,
+                    "prev_ts": prev_ts,
+                    "wire_bytes": wire_bytes,
+                },
+                "timeline": timeline.snapshot(),
+                "errlog": {
+                    "counts": dict(errlog.counts),
+                    "samples": list(errlog.samples),
+                    "records_ok": errlog.records_ok,
+                },
+                "aggregator": aggregator.snapshot(),
+                "table": table_snapshot(table),
+                "source": {
+                    "offset": source.offset,
+                    "packets_read": source.packets_read,
+                },
+            }
+        )
+
+    def _finish_trace(self, table: FlowTable, checkpointer, stats: TraceStats) -> None:
+        """Merge, order, and dispatch every result of the trace.
+
+        Previously drained checkpoint batches are re-read from the
+        store, joined with the still-buffered results, promotion-mapped,
+        and sorted into the table's batch order before dispatch — the
+        analyzers and the connection list cannot tell when a flow was
+        evicted.
+        """
+        pending = table.finish()
+        if checkpointer is not None and checkpointer.batch_digests:
+            pending = checkpointer.load_batches() + pending
+        promotions = table.promotions
+        pending.sort(key=lambda item: item.sort_key(promotions))
+        self._dispatch_results((item.result for item in pending), stats)
+        if table.flow_overflow:
+            stats.errors[ErrorKind.FLOW_OVERFLOW.value] = (
+                stats.errors.get(ErrorKind.FLOW_OVERFLOW.value, 0)
+                + table.flow_overflow
+            )
+        if table.early_eviction:
+            stats.errors[ErrorKind.EARLY_EVICTION.value] = (
+                stats.errors.get(ErrorKind.EARLY_EVICTION.value, 0)
+                + table.early_eviction
+            )
+        if checkpointer is not None:
+            checkpointer.clear()
 
     # -- analyzer isolation ---------------------------------------------------
 
@@ -391,9 +736,6 @@ class DatasetAnalyzer:
                     raise
                 self._analyzer_failed(analyzer, "on_udp", exc)
 
-    def _finish_trace(self, table: FlowTable, stats: TraceStats) -> None:
-        self._dispatch_results(table.flush(), stats)
-
     def _dispatch_results(
         self, results: Iterable[FlowResult], stats: TraceStats
     ) -> None:
@@ -401,9 +743,9 @@ class DatasetAnalyzer:
         application analyzers.
 
         The order of ``results`` is load-bearing: analyzer reports and
-        the connection list preserve it, so the streaming engine hands
-        this method its canonically re-ordered evictions to stay
-        byte-identical with the batch path (see ``docs/streaming.md``).
+        the connection list preserve it, so the trace's results arrive
+        here sorted into the flow table's batch order, whenever each
+        flow was evicted (see ``docs/streaming.md``).
         """
         internal = self.analysis.internal_net
         strict = self.error_policy is ErrorPolicy.STRICT

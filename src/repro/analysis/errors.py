@@ -19,9 +19,9 @@ kinds, so error accounting stays comparable across datasets and runs.
 (``worker_error`` belongs to the parallel execution runtime: a work unit
 that crashed, raised, or timed out in a worker process after exhausting
 its retries — see :mod:`repro.runtime`.  ``flow_overflow`` and
-``early_eviction`` are the streaming engine's graceful-degradation
+``early_eviction`` are the ingest engine's graceful-degradation
 notes — a bounded flow table shedding state under pressure rather than
-raising (see :mod:`repro.stream`); they are counted in the data-quality
+raising (see :mod:`repro.analysis.flow`); they are counted in the data-quality
 section but never consume a trace's :class:`ErrorBudget`.)
 Nothing in this module imports the rest of the analysis package; the
 pcap reader imports it lazily to avoid a package cycle.
@@ -64,12 +64,12 @@ class ErrorKind(str, Enum):
     #: A runtime work unit crashed, raised, or timed out in a worker
     #: process and exhausted its retries (see :mod:`repro.runtime`).
     WORKER_ERROR = "worker_error"
-    #: The streaming engine's bounded flow table hit ``max_flows`` and
-    #: had to evict a live flow to admit a new one (see :mod:`repro.stream`).
+    #: The bounded flow table hit ``max_flows`` and had to evict a live
+    #: flow to admit a new one (see :mod:`repro.analysis.flow`).
     FLOW_OVERFLOW = "flow_overflow"
     #: A live flow was emitted before its natural end (idle/hard timeout
     #: or table overflow) and later saw more packets, splitting what the
-    #: batch engine would have reported as one connection.
+    #: default knobs would have reported as one connection.
     EARLY_EVICTION = "early_eviction"
     #: A storage-plane I/O operation failed (ENOSPC, EIO, a lost
     #: rename) while publishing shards, checkpoints, or telemetry; the

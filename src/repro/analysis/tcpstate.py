@@ -55,31 +55,33 @@ class TcpDirectionState:
         self.collect_stream = collect_stream
         self.fin_seen = False
 
-    def on_segment(self, seq: int, flags: int, payload: bytes, payload_len: int) -> None:
-        """Account one segment of this direction."""
+    def on_segment(self, seq: int, flags: int, payload: bytes, payload_len: int) -> bool:
+        """Account one segment of this direction; True when it was counted
+        as a retransmission."""
         self.pkts += 1
         if flags & SYN:
             self.next_seq = (seq + 1) % _SEQ_MOD
-            return
+            return False
         if flags & RST:
-            return
+            return False
         if payload_len == 0:
             if flags & FIN:
                 self._consume_fin(seq)
-            return
+            return False
         if self.next_seq is None:
             # Mid-stream pickup: adopt this segment's sequence space.
             self.next_seq = seq
         if _seq_lt(seq, self.next_seq):
             # Wholly or partially retransmitted data.
-            if payload_len == 1 and (self.next_seq - seq) % _SEQ_MOD == 1:
-                self.keepalive_retransmits += 1
-            else:
+            retransmit = not (payload_len == 1 and (self.next_seq - seq) % _SEQ_MOD == 1)
+            if retransmit:
                 self.retransmits += 1
                 self.retransmit_bytes += payload_len
+            else:
+                self.keepalive_retransmits += 1
             if flags & FIN:
                 self._consume_fin(seq + payload_len)
-            return
+            return retransmit
         gap_before = 0
         if seq != self.next_seq:
             # A capture drop or reordering beyond us: pad the hole so the
@@ -106,6 +108,7 @@ class TcpDirectionState:
                 self.stream_overflow = True
         if len(payload) < payload_len:
             self.stream_gap = True  # snaplen truncation
+        return False
 
     def _consume_fin(self, seq_after: int) -> None:
         self.fin_seen = True
@@ -137,10 +140,11 @@ class TcpFlowState:
 
     def on_segment(
         self, from_orig: bool, seq: int, flags: int, payload: bytes, payload_len: int
-    ) -> None:
-        """Account one segment, attributed to originator or responder."""
+    ) -> bool:
+        """Account one segment, attributed to originator or responder;
+        True when it was counted as a retransmission."""
         direction = self.orig if from_orig else self.resp
-        direction.on_segment(seq, flags, payload, payload_len)
+        retransmit = direction.on_segment(seq, flags, payload, payload_len)
         if flags & SYN and not flags & ACK and from_orig:
             self.syn_seen = True
         if flags & SYN and flags & ACK and not from_orig:
@@ -152,6 +156,7 @@ class TcpFlowState:
                 self.rst_by_resp = True
         if payload_len:
             self.data_seen = True
+        return retransmit
 
     @property
     def established(self) -> bool:

@@ -12,9 +12,9 @@ A ``store`` subcommand inspects the connection-record store::
     repro-study store scrub --store-dir .store
     repro-study store repair --store-dir .store --traces-dir traces/
 
-A ``stream`` subcommand runs the same study through the single-pass
-bounded-memory engine (``docs/streaming.md``), with live per-window
-progress on stderr and optional crash-resumable checkpoints::
+A ``stream`` subcommand runs the same study with the ingest engine's
+knobs exposed (``docs/streaming.md``): live per-window progress on
+stderr, flow-table bounds, and optional crash-resumable checkpoints::
 
     repro-study stream --datasets D0 --window 60 --max-flows 65536 \\
         --store-dir .store --checkpoint-every 50000
@@ -42,7 +42,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..analysis.engine import StreamConfig
 from ..analysis.errors import ErrorPolicy
+from ..analysis.flow import DEFAULT_IDLE_TIMEOUT, DEFAULT_MAX_FLOWS
 from ..gen.datasets import DATASET_ORDER
 from .study import run_study
 
@@ -146,14 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_study_args(parser)
-    parser.add_argument(
-        "--engine",
-        default="batch",
-        choices=("batch", "stream"),
-        help="analysis engine: batch materializes each trace before "
-        "analyzing, stream ingests it in one bounded-memory pass with "
-        "identical output (default: batch)",
-    )
     return parser
 
 
@@ -161,9 +155,10 @@ def _build_stream_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-study stream",
         description=(
-            "Run the study through the single-pass bounded-memory "
-            "streaming engine (byte-identical tables under the default "
-            "knobs; see docs/streaming.md)."
+            "Run the study with the ingest engine's knobs: live window "
+            "narration, flow-table bounds, and crash checkpoints "
+            "(byte-identical tables under the default knobs; see "
+            "docs/streaming.md)."
         ),
     )
     _add_study_args(parser)
@@ -178,7 +173,7 @@ def _build_stream_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-flows",
         type=int,
-        default=None,
+        default=DEFAULT_MAX_FLOWS,
         help="flow-table capacity; beyond it the least-recently-active "
         "flow is evicted early (counted as flow_overflow in the "
         "data-quality section, never an error)",
@@ -186,10 +181,10 @@ def _build_stream_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--idle-timeout",
         type=float,
-        default=None,
+        default=DEFAULT_IDLE_TIMEOUT,
         metavar="SECONDS",
         help="evict a TCP flow idle this long (default 3600s; UDP/ICMP "
-        "always use the batch engine's 60s gap rule)",
+        "always use the 60s gap rule)",
     )
     parser.add_argument(
         "--hard-timeout",
@@ -1044,23 +1039,18 @@ def _window_progress(window) -> None:
 
 
 def _stream_main(argv: list[str]) -> int:
-    """The ``repro-study stream`` subcommand: the study through the
-    single-pass engine, with live per-window narration under
+    """The ``repro-study stream`` subcommand: the study with the ingest
+    knobs exposed, with live per-window narration under
     ``--progress`` (sequential runs only — the window callback cannot
     cross a process boundary)."""
-    from ..stream.engine import StreamConfig
-
     args = _build_stream_parser().parse_args(argv)
-    knobs: dict = {
-        "window": args.window,
-        "checkpoint_every": args.checkpoint_every,
-    }
-    if args.max_flows is not None:
-        knobs["max_flows"] = args.max_flows
-    if args.idle_timeout is not None:
-        knobs["idle_timeout"] = args.idle_timeout
-    if args.hard_timeout is not None:
-        knobs["hard_timeout"] = args.hard_timeout
+    knobs = StreamConfig(
+        window=args.window,
+        max_flows=args.max_flows,
+        idle_timeout=args.idle_timeout,
+        hard_timeout=args.hard_timeout,
+        checkpoint_every=args.checkpoint_every,
+    )
     observer = _window_progress if args.progress and args.jobs == 1 else None
     results = run_study(
         seed=args.seed,
@@ -1074,8 +1064,7 @@ def _stream_main(argv: list[str]) -> int:
         jobs=args.jobs,
         progress=args.progress,
         telemetry_path=args.telemetry,
-        engine="stream",
-        stream=StreamConfig(**knobs),
+        stream=knobs,
         window_observer=observer,
     )
     return _print_results(args, results)
@@ -1108,7 +1097,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         progress=args.progress,
         telemetry_path=args.telemetry,
-        engine=args.engine,
     )
     return _print_results(args, results)
 

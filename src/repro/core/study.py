@@ -11,9 +11,9 @@ from cached shards instead of re-parsing pcaps (see :mod:`repro.store`).
 
 With ``jobs > 1``, datasets become independent work units fanned out
 across worker processes by the :mod:`repro.runtime` scheduler; results
-come back through the store (a scratch store when none is configured),
-so any worker count produces byte-identical tables (see
-``docs/runtime.md``).
+come back as store shards (through the store when one is configured,
+as shard bytes over the result pipe otherwise), so any worker count
+produces byte-identical tables (see ``docs/runtime.md``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from ..analysis.analyzers import DEFAULT_ANALYZERS
-from ..analysis.engine import DatasetAnalysis, DatasetAnalyzer
+from ..analysis.engine import DatasetAnalysis, DatasetAnalyzer, StreamConfig
 from ..analysis.errors import ErrorKind, ErrorPolicy, IngestionError, TraceError
 from ..gen.capture import DatasetTraces, generate_dataset
 from ..gen.datasets import DATASET_ORDER, DATASETS
@@ -39,15 +39,12 @@ from ..report.model import CdfFigure, SeriesFigure, Table
 from ..runtime.scheduler import ProcessPoolScheduler, RetryPolicy, resolve_jobs
 from ..runtime.task import Task, TaskGraph
 from ..runtime.telemetry import TelemetryLog
-from ..store.cache import ConnStore
+from ..store.cache import ConnStore, assemble_analysis, shard_analysis
+from ..store.shard import decode_dataset_shard, decode_trace_shard
 from ..store.tier import open_store
-from ..stream.engine import StreamConfig, StreamDatasetAnalyzer
 from ..util.fmt import fmt_duration
 
 __all__ = ["StudyConfig", "StudyResults", "run_study", "analyze_dataset"]
-
-#: The selectable analysis engines.
-ENGINES = ("batch", "stream")
 
 #: The registered analyzer roster, as it appears in cache keys.
 _ANALYZER_NAMES: tuple[str, ...] = tuple(cls.name for cls in DEFAULT_ANALYZERS)
@@ -71,12 +68,7 @@ class StudyConfig:
     store_dir: str | None = None
     #: Worker processes (1 = in-process sequential, 0 = all cores).
     jobs: int = 1
-    #: Analysis engine: ``"batch"`` materializes each trace before
-    #: analyzing; ``"stream"`` ingests it in one bounded-memory pass
-    #: (``docs/streaming.md``).  Identical output under the default
-    #: streaming knobs.
-    engine: str = "batch"
-    #: Streaming-engine knobs (``engine="stream"`` only).
+    #: Ingest knobs (``docs/streaming.md``); None = the defaults.
     stream: StreamConfig | None = None
 
 
@@ -204,19 +196,6 @@ class StudyResults:
         return meta
 
 
-def _engine_key_config(engine: str, stream: StreamConfig) -> dict | None:
-    """The cache-key fork for non-parity streaming configurations.
-
-    Batch runs and parity-default streaming runs return ``None`` and
-    share one cache key (their output bytes are identical, so either
-    may serve the other's cached analysis); turned-down eviction knobs
-    can split flows, so they fork the key.
-    """
-    if engine != "stream" or stream.parity_default():
-        return None
-    return stream.record_knobs()
-
-
 def analyze_dataset(
     name: str,
     traces: DatasetTraces,
@@ -224,7 +203,7 @@ def analyze_dataset(
     error_policy: ErrorPolicy | str = ErrorPolicy.STRICT,
     store: ConnStore | None = None,
     gen_key: str | None = None,
-    engine: str = "batch",
+    engine: str = "stream",
     stream: StreamConfig | None = None,
     window_observer: Callable | None = None,
 ) -> DatasetAnalysis:
@@ -236,18 +215,18 @@ def analyze_dataset(
     content key covers the trace bytes themselves, so any mutation (e.g.
     :func:`repro.gen.faults.corrupt_dataset`) forces a cold re-parse.
 
-    ``engine="stream"`` swaps in the single-pass bounded-memory engine
-    (:mod:`repro.stream`) with knobs from ``stream``; under the default
-    knobs its output is byte-identical, so batch and stream share cache
-    entries.  With a store and ``stream.checkpoint_every > 0`` the run
-    publishes live checkpoints it can resume from after a crash.
+    ``stream`` holds the ingest knobs; non-default eviction knobs fork
+    the cache key.  With a store and ``stream.checkpoint_every > 0`` the
+    run publishes live checkpoints it can resume from after a crash.
     ``window_observer`` receives each closed aggregation window.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
+    # The pipeline benchmark (bench/pipeline.py) still passes
+    # ``engine="stream"``, the name of the one engine.
+    if engine != "stream":
+        raise ValueError(f"unknown engine {engine!r} (the only engine is 'stream')")
     policy = ErrorPolicy.coerce(error_policy)
     stream_config = stream if stream is not None else StreamConfig()
-    engine_config = _engine_key_config(engine, stream_config)
+    engine_config = stream_config.key_fork()
     digests: list[str] = []
     key: str | None = None
     if store is not None:
@@ -267,26 +246,17 @@ def analyze_dataset(
             cached = store.load_or_none(manifest, policy)
             if cached is not None:
                 return cached.analysis
-    if engine == "stream":
-        analyzer: DatasetAnalyzer = StreamDatasetAnalyzer(
-            name,
-            full_payload=traces.config.full_payload,
-            internal_net=ENTERPRISE_NET,
-            analyzers=[cls() for cls in DEFAULT_ANALYZERS],
-            error_policy=policy,
-            config=stream_config,
-            store=store,
-            checkpoint_base=key or name,
-            window_observer=window_observer,
-        )
-    else:
-        analyzer = DatasetAnalyzer(
-            name,
-            full_payload=traces.config.full_payload,
-            internal_net=ENTERPRISE_NET,
-            analyzers=[cls() for cls in DEFAULT_ANALYZERS],
-            error_policy=policy,
-        )
+    analyzer = DatasetAnalyzer(
+        name,
+        full_payload=traces.config.full_payload,
+        internal_net=ENTERPRISE_NET,
+        analyzers=[cls() for cls in DEFAULT_ANALYZERS],
+        error_policy=policy,
+        store=store,
+        checkpoint_base=key or name,
+        window_observer=window_observer,
+        **asdict(stream_config),
+    )
     for trace in traces.traces:
         analyzer.process_pcap(trace.path)
     analysis = analyzer.finish(known_scanners=known_scanners)
@@ -296,7 +266,6 @@ def analyze_dataset(
         repair_info = {
             "error_policy": policy.value,
             "known_scanners": sorted(known_scanners),
-            "engine": engine,
             "engine_config": engine_config,
         }
         try:
@@ -355,7 +324,6 @@ def _generate_and_analyze(
     mutate_traces: Callable[[str, DatasetTraces], None] | None = None,
     store: ConnStore | None = None,
     gen_key: str | None = None,
-    engine: str = "batch",
     stream: StreamConfig | None = None,
     window_observer: Callable | None = None,
 ) -> tuple[DatasetTraces, DatasetAnalysis, int]:
@@ -386,7 +354,6 @@ def _generate_and_analyze(
             error_policy=policy,
             store=store,
             gen_key=gen_key,
-            engine=engine,
             stream=stream,
             window_observer=window_observer,
         )
@@ -394,53 +361,54 @@ def _generate_and_analyze(
 
 
 def _dataset_unit_worker(spec: Mapping) -> dict:
-    """One parallel work unit: produce one dataset's analysis *in the
-    store* and return a small picklable receipt.
+    """One parallel work unit: produce one dataset's analysis and return
+    a picklable receipt.
 
-    Runs in a forked worker process under ``jobs > 1``.  The heavy
-    product (the analysis) never crosses the pipe — it is sharded into
-    the unit's store (the study store, or a scratch store when caching
-    is off) and the parent rebuilds it from the returned manifest key.
-    Determinism: the unit reuses the *study* seed; every random stream
-    below it is already keyed by (dataset, window), so the bytes cannot
-    depend on worker count or execution order.
+    Runs in a forked worker process under ``jobs > 1``.  With a study
+    store the analysis is sharded into it and the parent rebuilds it
+    from the returned manifest key.  Without one, the receipt carries
+    the shard bytes themselves (``shards``): the same pickle-free codec
+    the store writes, so the parent's copy is byte-identical whichever
+    way it travelled.  Determinism: the unit reuses the *study* seed;
+    every random stream below it is already keyed by (dataset, window),
+    so the bytes cannot depend on worker count or execution order.
     """
     name = spec["dataset"]
     seed = spec["seed"]
     out_dir = spec["out_dir"]
     policy = ErrorPolicy.coerce(spec["error_policy"])
-    engine = spec.get("engine", "batch")
-    stream_spec = spec.get("stream")
-    stream = StreamConfig(**stream_spec) if stream_spec else StreamConfig()
-    store = open_store(spec["store_dir"])
+    stream = StreamConfig(**spec["stream"])
     enterprise = Enterprise(seed=seed)
     known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
-    gen_key = store.generation_key(
-        name,
-        seed,
-        spec["scale"],
-        spec["max_windows"],
-        _ANALYZER_NAMES,
-        policy.value,
-        str(ENTERPRISE_NET),
-        known_scanners,
-        engine_config=_engine_key_config(engine, stream),
-    )
-    if spec["reuse_store"]:
-        manifest = store.lookup(gen_key)
-        if manifest is not None and store.sources_intact(
-            manifest, Path(out_dir) if out_dir else None
-        ):
-            if store.load_or_none(manifest, policy) is not None:
-                return {
-                    "dataset": name,
-                    "manifest_key": manifest["key"],
-                    "cache": "hit",
-                    "packets": sum(
-                        entry["packet_count"] for entry in manifest["traces"]
-                    ),
-                    "bytes": 0,
-                }
+    store = open_store(spec["store_dir"]) if spec["store_dir"] else None
+    gen_key = None
+    if store is not None:
+        gen_key = store.generation_key(
+            name,
+            seed,
+            spec["scale"],
+            spec["max_windows"],
+            _ANALYZER_NAMES,
+            policy.value,
+            str(ENTERPRISE_NET),
+            known_scanners,
+            engine_config=stream.key_fork(),
+        )
+        if spec["reuse_store"]:
+            manifest = store.lookup(gen_key)
+            if manifest is not None and store.sources_intact(
+                manifest, Path(out_dir) if out_dir else None
+            ):
+                if store.load_or_none(manifest, policy) is not None:
+                    return {
+                        "dataset": name,
+                        "manifest_key": manifest["key"],
+                        "cache": "hit",
+                        "packets": sum(
+                            entry["packet_count"] for entry in manifest["traces"]
+                        ),
+                        "bytes": 0,
+                    }
     dataset_traces, analysis, trace_bytes = _generate_and_analyze(
         name,
         enterprise,
@@ -452,13 +420,12 @@ def _dataset_unit_worker(spec: Mapping) -> dict:
         policy=policy,
         store=store,
         gen_key=gen_key,
-        engine=engine,
         stream=stream,
     )
-    return {
+    receipt = {
         "dataset": name,
         "manifest_key": gen_key,
-        "cache": "miss",
+        "cache": "miss" if store is not None else None,
         "packets": dataset_traces.total_packets,
         "bytes": trace_bytes,
         # Storage faults the worker absorbed under a tolerant policy;
@@ -466,6 +433,12 @@ def _dataset_unit_worker(spec: Mapping) -> dict:
         # it has to recompute the dataset inline.
         "io_errors": sum(analysis.io_errors.values()),
     }
+    if store is None:
+        # No content address without a store: the digests stay empty.
+        receipt["shards"] = shard_analysis(
+            analysis, dataset_traces, [""] * len(dataset_traces.traces)
+        )
+    return receipt
 
 
 def run_study(
@@ -482,7 +455,6 @@ def run_study(
     progress: bool = False,
     telemetry_path: str | None = None,
     retry: RetryPolicy | None = None,
-    engine: str = "batch",
     stream: StreamConfig | None = None,
     window_observer: Callable | None = None,
 ) -> StudyResults:
@@ -523,17 +495,13 @@ def run_study(
     :mod:`repro.runtime.telemetry`) there.  Either way, the stream is
     kept on :attr:`StudyResults.telemetry`.
 
-    ``engine="stream"`` analyzes each trace in a single bounded-memory
-    pass (:mod:`repro.stream`) with knobs from ``stream``; under the
-    default knobs the study digest is byte-identical to the batch
-    engine at every worker count (see ``docs/streaming.md``).
+    ``stream`` holds the ingest knobs (``docs/streaming.md``): each
+    trace is analyzed in a single bounded-memory pass.
     ``window_observer`` receives each closed aggregation window as it
-    happens — sequential (``jobs=1``) streaming runs only, since the
-    callback cannot cross a process boundary.
+    happens — sequential (``jobs=1``) runs only, since the callback
+    cannot cross a process boundary.
     """
     policy = ErrorPolicy.coerce(error_policy)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
     config = StudyConfig(
         seed=seed,
         scale=scale,
@@ -543,8 +511,7 @@ def run_study(
         error_policy=policy.value,
         store_dir=store_dir,
         jobs=jobs,
-        engine=engine,
-        stream=stream if engine == "stream" else None,
+        stream=stream,
     )
     for name in config.datasets:
         if name not in DATASETS:
@@ -609,7 +576,7 @@ def _run_study_sequential(
                 policy.value,
                 str(ENTERPRISE_NET),
                 known_scanners,
-                engine_config=_engine_key_config(config.engine, stream),
+                engine_config=stream.key_fork(),
             )
             if reuse_store and mutate_traces is None:
                 cached = None
@@ -647,7 +614,6 @@ def _run_study_sequential(
             mutate_traces=mutate_traces,
             store=store,
             gen_key=gen_key if mutate_traces is None else None,
-            engine=config.engine,
             stream=stream,
             window_observer=window_observer,
         )
@@ -679,90 +645,90 @@ def _run_study_parallel(
     retry: RetryPolicy | None,
     telemetry: TelemetryLog,
 ) -> None:
-    """The scheduler path: one task per dataset, results via the store."""
+    """The scheduler path: one task per dataset, results via the store
+    (or, without one, as shard bytes in the unit's receipt)."""
     config = results.config
-    scratch: tempfile.TemporaryDirectory | None = None
-    if config.store_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-runtime-")
-        store_dir = scratch.name
-    else:
-        store_dir = config.store_dir
-    try:
-        graph = TaskGraph()
-        stream = config.stream if config.stream is not None else StreamConfig()
-        for name in dict.fromkeys(config.datasets):
-            graph.add(
-                Task(
-                    key=f"dataset:{name}",
-                    kind="dataset",
-                    payload={
-                        "dataset": name,
-                        "seed": config.seed,
-                        "scale": config.scale,
-                        "max_windows": config.max_windows,
-                        "out_dir": config.out_dir,
-                        "error_policy": policy.value,
-                        "store_dir": store_dir,
-                        "reuse_store": reuse_store,
-                        "engine": config.engine,
-                        "stream": asdict(stream) if config.engine == "stream" else None,
-                    },
-                )
+    stream = config.stream if config.stream is not None else StreamConfig()
+    graph = TaskGraph()
+    for name in dict.fromkeys(config.datasets):
+        graph.add(
+            Task(
+                key=f"dataset:{name}",
+                kind="dataset",
+                payload={
+                    "dataset": name,
+                    "seed": config.seed,
+                    "scale": config.scale,
+                    "max_windows": config.max_windows,
+                    "out_dir": config.out_dir,
+                    "error_policy": policy.value,
+                    "store_dir": config.store_dir,
+                    "reuse_store": reuse_store,
+                    "stream": asdict(stream),
+                },
             )
-        scheduler = ProcessPoolScheduler(
-            _dataset_unit_worker, jobs=jobs, retry=retry, telemetry=telemetry
         )
-        unit_results = scheduler.run(graph)
-        store = open_store(store_dir)
-        enterprise = results.enterprise
-        known_scanners = tuple(
-            host.ip for host in enterprise.servers(Role.SCANNER)
-        )
-        for name in config.datasets:
-            unit = unit_results[f"dataset:{name}"]
-            if not unit.ok:
-                if policy is ErrorPolicy.STRICT:
-                    raise IngestionError(
-                        ErrorKind.WORKER_ERROR,
-                        unit.key,
-                        None,
-                        unit.error.detail if unit.error else "unit failed",
-                    )
-                if unit.error is not None:
-                    results.unit_failures.append(unit.error)
-                continue
-            manifest = store.lookup(unit.value["manifest_key"])
-            cached = (
-                store.load_or_none(manifest, policy)
-                if manifest is not None
-                else None
-            )
-            if cached is None:
-                # The worker finished but its shards cannot be read back
-                # (damaged store under a tolerant policy): redo inline.
-                dataset_traces, analysis, _ = _generate_and_analyze(
-                    name,
-                    enterprise,
-                    known_scanners,
-                    seed=config.seed,
-                    scale=config.scale,
-                    max_windows=config.max_windows,
-                    out_dir=config.out_dir,
-                    policy=policy,
-                    engine=config.engine,
-                    stream=stream,
+    scheduler = ProcessPoolScheduler(
+        _dataset_unit_worker, jobs=jobs, retry=retry, telemetry=telemetry
+    )
+    unit_results = scheduler.run(graph)
+    store = open_store(config.store_dir) if config.store_dir else None
+    enterprise = results.enterprise
+    known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
+    for name in config.datasets:
+        unit = unit_results[f"dataset:{name}"]
+        if not unit.ok:
+            if policy is ErrorPolicy.STRICT:
+                raise IngestionError(
+                    ErrorKind.WORKER_ERROR,
+                    unit.key,
+                    None,
+                    unit.error.detail if unit.error else "unit failed",
                 )
-                worker_io = int(unit.value.get("io_errors", 0) or 0)
-                if worker_io:
-                    analysis.io_errors["shard_publication"] = (
-                        analysis.io_errors.get("shard_publication", 0) + worker_io
-                    )
-                _adopt_analysis(results, name, dataset_traces, analysis)
-                continue
+            if unit.error is not None:
+                results.unit_failures.append(unit.error)
+            continue
+        if store is None:
+            entries, trace_shards, dataset_shard = unit.value["shards"]
+            cached = assemble_analysis(
+                name,
+                entries,
+                [decode_trace_shard(data) for data in trace_shards],
+                decode_dataset_shard(dataset_shard),
+            )
             _adopt_analysis(
                 results, name, cached.traces, cached.analysis,
                 out_dir=config.out_dir, relocate=True,
             )
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+            continue
+        manifest = store.lookup(unit.value["manifest_key"])
+        cached = (
+            store.load_or_none(manifest, policy)
+            if manifest is not None
+            else None
+        )
+        if cached is None:
+            # The worker finished but its shards cannot be read back
+            # (damaged store under a tolerant policy): redo inline.
+            dataset_traces, analysis, _ = _generate_and_analyze(
+                name,
+                enterprise,
+                known_scanners,
+                seed=config.seed,
+                scale=config.scale,
+                max_windows=config.max_windows,
+                out_dir=config.out_dir,
+                policy=policy,
+                stream=stream,
+            )
+            worker_io = int(unit.value.get("io_errors", 0) or 0)
+            if worker_io:
+                analysis.io_errors["shard_publication"] = (
+                    analysis.io_errors.get("shard_publication", 0) + worker_io
+                )
+            _adopt_analysis(results, name, dataset_traces, analysis)
+            continue
+        _adopt_analysis(
+            results, name, cached.traces, cached.analysis,
+            out_dir=config.out_dir, relocate=True,
+        )

@@ -4,7 +4,7 @@ anomaly alerts.
 The paper observed a *live* enterprise network for months; this package
 turns the one-shot pipeline into that shape.  A
 :class:`DaemonSupervisor` runs one crash-tolerant feed process per
-tenant through the PR-4 streaming engine, publishes rolling-window
+tenant through the single-pass ingest engine, publishes rolling-window
 results through the chaos-safe fsio seam (kill it anywhere, restart it,
 get byte-identical artifacts), restarts dead feeds with the runtime's
 exponential backoff, quarantines poison feeds after

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..runtime.scheduler import RetryPolicy
-from ..stream.flowtable import DEFAULT_MAX_FLOWS
+from ..analysis.flow import DEFAULT_MAX_FLOWS
 from .alerts import AlertRule, parse_alert_rule
 
 __all__ = [
@@ -73,7 +73,7 @@ class DaemonConfig:
     window: float = 60.0
     #: Default flow-table budget: one tenant's flow flood evicts its
     #: *own* LRU flows (counted as ``flow_overflow``), never a
-    #: neighbor's — each feed owns a whole StreamFlowTable.
+    #: neighbor's — each feed owns a whole FlowTable.
     flow_budget: int = DEFAULT_MAX_FLOWS
     #: Per-tenant budget overrides (tenant name -> flows); a tenant not
     #: listed here gets :attr:`flow_budget`.  Resolved by

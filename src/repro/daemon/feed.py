@@ -1,7 +1,7 @@
 """One tenant's feed worker: the child-process side of the daemon.
 
 A feed runs in its own forked process (one per tenant), ingesting the
-tenant's traces through the PR-4 streaming engine and publishing three
+tenant's traces through the ingest engine and publishing three
 kinds of durable artifacts under ``<store>/daemon/<tenant>/``:
 
 * ``windows/t{T:03d}-w{W:06d}.json`` — one file per closed rolling
@@ -33,6 +33,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from ..analysis.errors import IngestionError, TraceQuarantined
@@ -41,7 +42,7 @@ from ..pcap.reader import PcapReader
 from ..runtime.scheduler import start_heartbeat, stop_heartbeat
 from ..store.cache import DAEMON_DIR
 from ..store.tier import open_store
-from ..stream.engine import StreamConfig, StreamDatasetAnalyzer, StreamDrained
+from ..analysis.engine import DatasetAnalyzer, StreamConfig, StreamDrained
 from ..stream.source import PacketSource
 
 __all__ = ["PacedSource", "run_feed", "tenant_dir", "feed_child"]
@@ -143,7 +144,7 @@ def run_feed(payload: dict, drain: threading.Event, send) -> str:
 
     ``payload`` carries the plain-data feed spec (see the supervisor);
     ``send(kind, body)`` ships progress messages to the supervisor and
-    must never raise.  Runs one :class:`StreamDatasetAnalyzer` per
+    must never raise.  Runs one :class:`DatasetAnalyzer` per
     trace with a per-trace checkpoint key, so a restarted feed resumes
     the interrupted trace exactly where its last checkpoint left it
     while completed traces are skipped by marker.
@@ -230,15 +231,15 @@ def _run_traces(
             )
             send("window", body)
 
-        analyzer = StreamDatasetAnalyzer(
+        analyzer = DatasetAnalyzer(
             tenant,
             full_payload=False,
             error_policy=payload["error_policy"],
-            config=config,
             store=store,
             checkpoint_base=f"daemon-{tenant}-t{gidx:03d}",
             window_observer=publish_window,
             drain_event=drain,
+            **asdict(config),
         )
         label = str(trace_path)
         errors = analyzer._new_error_log(label)
@@ -251,7 +252,7 @@ def _run_traces(
         else:
             try:
                 with source:
-                    stats = analyzer.process_stream(
+                    stats = analyzer.process_packets(
                         source, label=label, errors=errors
                     )
             except StreamDrained as exc:

@@ -63,7 +63,7 @@ class PcapReader:
         #: Records yielded so far (what recovery mode salvaged).
         self.records_read = 0
         #: Byte offset of the first unread record (advanced per record;
-        #: the streaming engine checkpoints it and seeks back on resume).
+        #: the ingest engine checkpoints it and seeks back on resume).
         self.offset = GLOBAL_HEADER.size
         header_bytes = stream.read(GLOBAL_HEADER.size)
         try:

@@ -43,7 +43,6 @@ _DEFAULTS = {
     "max_windows": 2,
     "jobs": 2,
     "error_policy": ErrorPolicy.TOLERANT.value,
-    "engine": "batch",
 }
 
 #: Hard ceiling on submitted scale: the service is a query front end,
@@ -91,8 +90,6 @@ def validate_study_request(payload: object) -> dict:
             raise ValueError("max_windows must be >= 1")
     request["jobs"] = max(0, int(request["jobs"]))
     request["error_policy"] = ErrorPolicy.coerce(request["error_policy"]).value
-    if request["engine"] not in ("batch", "stream"):
-        raise ValueError(f"unknown engine {request['engine']!r}")
     return request
 
 
@@ -150,7 +147,6 @@ def _run_study_job(request: dict, store_dir: str) -> dict:
         error_policy=request["error_policy"],
         store_dir=store_dir,
         jobs=request["jobs"],
-        engine=request["engine"],
     )
     return {
         "datasets": {

@@ -46,13 +46,21 @@ from .schema import SCHEMA_VERSION
 from .shard import (
     DatasetShard,
     ShardError,
+    TraceShard,
     decode_dataset_shard,
     decode_trace_shard,
     encode_dataset_shard,
     encode_trace_shard,
 )
 
-__all__ = ["ConnStore", "CachedDataset", "GcReport", "DEFAULT_TMP_GRACE"]
+__all__ = [
+    "ConnStore",
+    "CachedDataset",
+    "GcReport",
+    "DEFAULT_TMP_GRACE",
+    "shard_analysis",
+    "assemble_analysis",
+]
 
 _OBJECT_SUFFIX = ".rcs"
 _TMP_SUFFIX = ".tmp"
@@ -96,6 +104,98 @@ class CachedDataset:
     def __init__(self, analysis: DatasetAnalysis, traces: DatasetTraces) -> None:
         self.analysis = analysis
         self.traces = traces
+
+
+def shard_analysis(
+    analysis: DatasetAnalysis, traces: DatasetTraces, trace_digests: list[str]
+) -> tuple[list[dict], list[bytes], bytes]:
+    """Encode a finished analysis as shard bytes.
+
+    Returns ``(trace entries, trace shards, dataset shard)``: the
+    entries are a manifest's per-trace rows, less the ``shard`` digest
+    that only a store assigns.  :func:`assemble_analysis` inverts it.
+    """
+    name = analysis.name
+    by_trace: dict[int, list] = {}
+    for conn in analysis.conns:
+        by_trace.setdefault(conn.trace_index, []).append(conn)
+    entries: list[dict] = []
+    shards: list[bytes] = []
+    for index, (trace, stats) in enumerate(zip(traces.traces, analysis.traces)):
+        source = f"{name}/{Path(trace.path).name}"
+        shards.append(
+            encode_trace_shard(
+                name, source, trace_digests[index], stats, by_trace.get(index, [])
+            )
+        )
+        entries.append(
+            {
+                "file": source,
+                "digest": trace_digests[index],
+                "packet_count": trace.packet_count,
+                "snaplen": trace.snaplen,
+                "window": {
+                    "index": trace.window.index,
+                    "subnet_index": trace.window.subnet_index,
+                    "t0": trace.window.t0,
+                    "t1": trace.window.t1,
+                },
+            }
+        )
+    dataset_shard = encode_dataset_shard(
+        DatasetShard(
+            name=name,
+            full_payload=analysis.full_payload,
+            internal_net=str(analysis.internal_net),
+            error_policy=analysis.error_policy,
+            scanner_sources=analysis.scanner_sources,
+            windows_endpoints=analysis.windows_endpoints,
+            removed_conns=analysis.removed_conns,
+            analyzer_errors=analysis.analyzer_errors,
+            analyzer_results=analysis.analyzer_results,
+        )
+    )
+    return entries, shards, dataset_shard
+
+
+def assemble_analysis(
+    name: str,
+    entries: list[dict],
+    trace_shards: list[TraceShard],
+    dataset_shard: DatasetShard,
+) -> CachedDataset:
+    """Rebuild an analysis and its trace metadata from decoded shards."""
+    analysis = DatasetAnalysis(
+        name=name,
+        full_payload=dataset_shard.full_payload,
+        internal_net=Subnet.parse(dataset_shard.internal_net),
+        error_policy=dataset_shard.error_policy,
+    )
+    analysis.scanner_sources = dataset_shard.scanner_sources
+    analysis.windows_endpoints = dataset_shard.windows_endpoints
+    analysis.removed_conns = dataset_shard.removed_conns
+    analysis.analyzer_errors = dataset_shard.analyzer_errors
+    analysis.analyzer_results = dataset_shard.analyzer_results
+    traces = DatasetTraces(config=DATASETS[name])
+    for entry, shard in zip(entries, trace_shards):
+        analysis.traces.append(shard.stats)
+        analysis.conns.extend(shard.conns)
+        window = entry["window"]
+        traces.traces.append(
+            Trace(
+                dataset=name,
+                window=TapWindow(
+                    index=window["index"],
+                    subnet_index=window["subnet_index"],
+                    t0=window["t0"],
+                    t1=window["t1"],
+                ),
+                path=Path(entry["file"]),
+                packet_count=entry["packet_count"],
+                snaplen=entry["snaplen"],
+            )
+        )
+    return CachedDataset(analysis, traces)
 
 
 class ConnStore:
@@ -153,11 +253,10 @@ class ConnStore:
     ) -> str:
         """The cache key for analyzing these exact trace bytes.
 
-        ``engine_config`` forks the key for engine settings that change
-        the emitted records (a streaming run with non-default eviction
-        knobs).  ``None`` — a batch run, or a streaming run with the
-        digest-parity defaults — keeps the historical key, so the two
-        engines share cache entries whenever their output is identical.
+        ``engine_config`` forks the key for ingest knobs that change the
+        emitted records (:meth:`~repro.analysis.engine.StreamConfig.key_fork`:
+        non-default eviction knobs).  ``None`` — the defaults — keeps the
+        historical key.
         """
         payload = cls._analysis_config(
             analyzers, error_policy, full_payload, internal_net, known_scanners
@@ -352,7 +451,7 @@ class ConnStore:
         """Shard a finished analysis and write its manifest.
 
         ``repair`` is an optional block of analysis parameters (error
-        policy, known scanners, engine) recorded verbatim in the
+        policy, known scanners, ingest knobs) recorded verbatim in the
         manifest; ``repro-study store repair`` uses it to re-derive
         damaged shards from the source traces (see
         :mod:`repro.store.scrub`).  Manifests without it are still
@@ -360,45 +459,12 @@ class ConnStore:
         """
         self.manifests_dir.mkdir(parents=True, exist_ok=True)
         name = analysis.name
-        by_trace: dict[int, list] = {}
-        for conn in analysis.conns:
-            by_trace.setdefault(conn.trace_index, []).append(conn)
-        trace_entries = []
-        for index, (trace, stats) in enumerate(zip(traces.traces, analysis.traces)):
-            source = f"{name}/{Path(trace.path).name}"
-            data = encode_trace_shard(
-                name, source, trace_digests[index], stats, by_trace.get(index, [])
-            )
-            trace_entries.append(
-                {
-                    "file": source,
-                    "digest": trace_digests[index],
-                    "shard": self.put_object(data),
-                    "packet_count": trace.packet_count,
-                    "snaplen": trace.snaplen,
-                    "window": {
-                        "index": trace.window.index,
-                        "subnet_index": trace.window.subnet_index,
-                        "t0": trace.window.t0,
-                        "t1": trace.window.t1,
-                    },
-                }
-            )
-        dataset_digest = self.put_object(
-            encode_dataset_shard(
-                DatasetShard(
-                    name=name,
-                    full_payload=analysis.full_payload,
-                    internal_net=str(analysis.internal_net),
-                    error_policy=analysis.error_policy,
-                    scanner_sources=analysis.scanner_sources,
-                    windows_endpoints=analysis.windows_endpoints,
-                    removed_conns=analysis.removed_conns,
-                    analyzer_errors=analysis.analyzer_errors,
-                    analyzer_results=analysis.analyzer_results,
-                )
-            )
+        trace_entries, trace_shards, dataset_shard = shard_analysis(
+            analysis, traces, trace_digests
         )
+        for entry, data in zip(trace_entries, trace_shards):
+            entry["shard"] = self.put_object(data)
+        dataset_digest = self.put_object(dataset_shard)
         manifest = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -419,47 +485,20 @@ class ConnStore:
         Raises :class:`ShardError` on any corrupt, truncated, or missing
         shard — callers decide what the active error policy makes of it.
         """
-        name = manifest["dataset"]
         dataset_shard = decode_dataset_shard(
             self.get_object(manifest["dataset_shard"]),
             str(self._object_path(manifest["dataset_shard"])),
         )
-        analysis = DatasetAnalysis(
-            name=name,
-            full_payload=dataset_shard.full_payload,
-            internal_net=Subnet.parse(dataset_shard.internal_net),
-            error_policy=dataset_shard.error_policy,
-        )
-        analysis.scanner_sources = dataset_shard.scanner_sources
-        analysis.windows_endpoints = dataset_shard.windows_endpoints
-        analysis.removed_conns = dataset_shard.removed_conns
-        analysis.analyzer_errors = dataset_shard.analyzer_errors
-        analysis.analyzer_results = dataset_shard.analyzer_results
-        config = DATASETS[name]
-        traces = DatasetTraces(config=config)
-        for entry in manifest["traces"]:
-            shard = decode_trace_shard(
+        trace_shards = [
+            decode_trace_shard(
                 self.get_object(entry["shard"]),
                 str(self._object_path(entry["shard"])),
             )
-            analysis.traces.append(shard.stats)
-            analysis.conns.extend(shard.conns)
-            window = entry["window"]
-            traces.traces.append(
-                Trace(
-                    dataset=name,
-                    window=TapWindow(
-                        index=window["index"],
-                        subnet_index=window["subnet_index"],
-                        t0=window["t0"],
-                        t1=window["t1"],
-                    ),
-                    path=Path(entry["file"]),
-                    packet_count=entry["packet_count"],
-                    snaplen=entry["snaplen"],
-                )
-            )
-        return CachedDataset(analysis, traces)
+            for entry in manifest["traces"]
+        ]
+        return assemble_analysis(
+            manifest["dataset"], manifest["traces"], trace_shards, dataset_shard
+        )
 
     def load_or_none(
         self, manifest: dict, error_policy: ErrorPolicy | str

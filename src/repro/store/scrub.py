@@ -406,8 +406,8 @@ class StoreScrubber:
         exactly the content addresses the manifest already names — the
         repair is self-verifying.
         """
+        from ..analysis.engine import StreamConfig
         from ..core.study import analyze_dataset  # lazy: avoids a package cycle
-        from ..stream.engine import StreamConfig
 
         report = self.scrub(quarantine=True)
         outcomes: list[RepairOutcome] = []
@@ -440,7 +440,6 @@ class StoreScrubber:
                 known_scanners=tuple(recipe.get("known_scanners", ())),
                 error_policy=recipe.get("error_policy", "strict"),
                 store=None,  # compute fresh; publication happens below
-                engine=recipe.get("engine", "batch"),
                 stream=StreamConfig(**engine_config) if engine_config else None,
             )
             digests = [entry["digest"] for entry in manifest["traces"]]

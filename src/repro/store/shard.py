@@ -14,7 +14,7 @@ its :class:`~repro.analysis.engine.TraceStats` and its connection
 records in struct-packed columns.  A *dataset shard* (kind 2) holds the
 dataset-level products: analyzer reports (the per-analyzer application
 event aggregates), the scan-filter verdict, and learned endpoints.  A
-*stream shard* (kind 3) carries the streaming engine's live-checkpoint
+*stream shard* (kind 3) carries the ingest engine's live-checkpoint
 payloads — drained result batches and engine state snapshots — framed
 here but encoded by :mod:`repro.stream.checkpoint`.
 

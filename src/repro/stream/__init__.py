@@ -1,26 +1,12 @@
-"""Single-pass, bounded-memory streaming analysis engine.
+"""The ingest engine's single-pass machinery.
 
-The batch pipeline loads a whole trace, then analyzes it; this package
-analyzes while reading.  Its contract: with the default eviction knobs,
-the streaming engine's analysis products — connection records, trace
-statistics, the full study digest — are byte-identical to the batch
-engine's, while peak memory stays bounded by the live-flow population
-instead of the trace size.  See ``docs/streaming.md``.
+:class:`~repro.analysis.engine.DatasetAnalyzer` reads each trace once,
+one record in memory at a time; this package holds the parts of that
+pass that are not analysis proper:
+
+* :mod:`repro.stream.source` — the offset-tracking packet source;
+* :mod:`repro.stream.aggregates` — live per-window aggregates;
+* :mod:`repro.stream.checkpoint` — crash checkpoints in the store.
+
+See ``docs/streaming.md``.
 """
-
-from .aggregates import WindowAggregator, WindowStats
-from .checkpoint import StreamCheckpointer
-from .engine import StreamConfig, StreamDatasetAnalyzer, StreamDrained
-from .flowtable import StreamFlowTable
-from .source import PacketSource
-
-__all__ = [
-    "PacketSource",
-    "StreamCheckpointer",
-    "StreamConfig",
-    "StreamDatasetAnalyzer",
-    "StreamDrained",
-    "StreamFlowTable",
-    "WindowAggregator",
-    "WindowStats",
-]

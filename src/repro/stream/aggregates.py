@@ -1,7 +1,7 @@
 """Windowed online aggregates: what the stream looks like *right now*.
 
-The batch pipeline only reports after a whole dataset is ingested.  A
-streaming engine can do better: as packets flow through, a
+A study only reports after a whole dataset is ingested.  The
+single-pass engine can do better: as packets flow through, a
 :class:`WindowAggregator` maintains per-window byte/packet counts,
 connection starts broken down by traffic category (the paper's §3-§4
 application mix, via :func:`~repro.analysis.classify.classify_conn`),
@@ -84,6 +84,12 @@ class WindowAggregator:
     per-window load distribution is summarized incrementally — mean and
     variance by Welford's method, median and p95 by the P² estimator —
     so the summary costs O(1) memory no matter how long the stream runs.
+
+    Counts arrive as running totals, not per packet: the engine calls
+    :meth:`roll` only when a packet reaches the live window's end, with
+    the trace's cumulative ``(packets, bytes, tcp segments,
+    retransmits)`` so far, and a closing window takes the difference
+    since it opened.  A packet costs the engine one comparison.
     """
 
     def __init__(
@@ -96,28 +102,38 @@ class WindowAggregator:
         self.window = window
         self.observer = observer
         self.current: WindowStats | None = None
+        #: The running totals when the live window opened.
+        self._base: tuple[int, int, int, int] = (0, 0, 0, 0)
         self.windows_closed = 0
         self.load_moments = StreamingMoments()
         self.load_median = P2Quantile(0.5)
         self.load_p95 = P2Quantile(0.95)
 
-    def _roll(self, ts: float) -> WindowStats:
-        """Close windows the stream has moved past; return the live one."""
+    def roll(self, ts: float, totals: tuple[int, int, int, int]) -> float:
+        """Close the windows ``ts`` has moved past and return the live
+        window's end.  ``totals`` are the running counts *before* the
+        packet at ``ts``, which belongs to the live window."""
         current = self.current
         if current is None:
             current = self.current = WindowStats(0, ts, self.window)
-            return current
+            self._base = totals
         while ts >= current.start_ts + current.duration:
-            self._close(current)
+            self._close(current, totals)
             current = WindowStats(
                 current.index + 1,
                 current.start_ts + current.duration,
                 self.window,
             )
             self.current = current
-        return current
+        return current.start_ts + current.duration
 
-    def _close(self, window: WindowStats) -> None:
+    def _close(self, window: WindowStats, totals: tuple[int, int, int, int]) -> None:
+        base = self._base
+        window.packets = totals[0] - base[0]
+        window.bytes = totals[1] - base[1]
+        window.tcp_packets = totals[2] - base[2]
+        window.retransmits = totals[3] - base[3]
+        self._base = totals
         self.windows_closed += 1
         mbps = window.mbps
         self.load_moments.add(mbps)
@@ -126,31 +142,17 @@ class WindowAggregator:
         if self.observer is not None:
             self.observer(window)
 
-    # -- observation hooks ---------------------------------------------------
-
-    def observe_packet(self, ts: float, nbytes: int) -> None:
-        """Account one captured packet's wire bytes."""
-        window = self._roll(ts)
-        window.packets += 1
-        window.bytes += nbytes
-
-    def observe_tcp(self, ts: float, retransmits: int) -> None:
-        """Account one TCP segment and how many retransmissions the
-        flow's state machine charged it with (0 or 1 in practice)."""
-        window = self._roll(ts)
-        window.tcp_packets += 1
-        window.retransmits += retransmits
-
     def observe_flow(self, record: ConnRecord) -> None:
-        """Count a newly created flow under its traffic category."""
-        window = self._roll(record.first_ts)
+        """Count a newly created flow under its traffic category (its
+        first packet has already rolled the live window)."""
         _, category = classify_conn(record)
-        window.conn_starts[category] = window.conn_starts.get(category, 0) + 1
+        conn_starts = self.current.conn_starts
+        conn_starts[category] = conn_starts.get(category, 0) + 1
 
-    def finish(self) -> None:
+    def finish(self, totals: tuple[int, int, int, int]) -> None:
         """Close the final, partial window (end of stream)."""
         if self.current is not None:
-            self._close(self.current)
+            self._close(self.current, totals)
             self.current = None
 
     # -- reporting -----------------------------------------------------------
@@ -174,6 +176,7 @@ class WindowAggregator:
         return {
             "window": self.window,
             "current": None if self.current is None else self.current.payload(),
+            "base": list(self._base),
             "windows_closed": self.windows_closed,
             "load_moments": self.load_moments.snapshot(),
             "load_median": self.load_median.snapshot(),
@@ -187,6 +190,7 @@ class WindowAggregator:
         agg = cls(window=state["window"], observer=observer)
         if state["current"] is not None:
             agg.current = WindowStats.from_payload(state["current"])
+        agg._base = tuple(state["base"])
         agg.windows_closed = state["windows_closed"]
         agg.load_moments = StreamingMoments.restore(state["load_moments"])
         agg.load_median = P2Quantile.restore(state["load_median"])

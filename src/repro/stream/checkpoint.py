@@ -34,7 +34,7 @@ attached (see ``docs/streaming.md``).
 from __future__ import annotations
 
 from ..analysis.conn import ConnRecord, ConnState
-from ..analysis.flow import FlowResult
+from ..analysis.flow import FlowResult, FlowTable, PendingResult, _Flow, _Tombstone
 from ..analysis.tcpstate import TcpDirectionState, TcpFlowState
 from ..store import codec
 from ..store.cache import ConnStore
@@ -47,7 +47,6 @@ from ..store.shard import (
     encode_conn_columns,
     encode_shard,
 )
-from .flowtable import PendingResult, StreamFlowTable
 
 __all__ = [
     "StreamCheckpointer",
@@ -156,8 +155,9 @@ def _record_from_payload(payload: dict) -> ConnRecord:
 # -- flow-table serialization ------------------------------------------------
 
 
-def table_snapshot(table: StreamFlowTable) -> dict:
-    """Everything a :class:`StreamFlowTable` needs to continue later.
+def table_snapshot(table: FlowTable) -> dict:
+    """Everything a :class:`~repro.analysis.flow.FlowTable` needs to
+    continue later.
 
     Flow maps are captured in recency (LRU) order, the creation queue as
     flow sequence numbers, and still-buffered results with their sort
@@ -207,6 +207,10 @@ def table_snapshot(table: StreamFlowTable) -> dict:
         "occurrence_seq": table._occurrence_seq,
         "flow_overflow": table.flow_overflow,
         "early_eviction": table.early_eviction,
+        "tcp_segments": table.tcp_segments,
+        "tcp_retransmits": table.tcp_retransmits,
+        "last_ts": table._last_ts,
+        "due": table._due,
     }
 
 
@@ -216,9 +220,10 @@ def table_restore(
     collect_payload: bool,
     udp_observer=None,
     trace_index: int = -1,
-) -> StreamFlowTable:
-    """Rebuild a :class:`StreamFlowTable` from :func:`table_snapshot`."""
-    table = StreamFlowTable(
+) -> FlowTable:
+    """Rebuild a :class:`~repro.analysis.flow.FlowTable` from
+    :func:`table_snapshot`."""
+    table = FlowTable(
         collect_payload=collect_payload,
         udp_observer=udp_observer,
         trace_index=trace_index,
@@ -226,13 +231,11 @@ def table_restore(
         idle_timeout=state["idle_timeout"],
         hard_timeout=state["hard_timeout"],
     )
-    from .flowtable import _StreamFlow, _Tombstone  # sibling internals
-
-    by_seq: dict[int, _StreamFlow] = {}
+    by_seq: dict[int, _Flow] = {}
     for kind, entries in state["flows"].items():
         mapping = table._tables[kind]
         for entry in entries:
-            flow = _StreamFlow(
+            flow = _Flow(
                 kind,
                 entry["key"],
                 _record_from_payload(entry["record"]),
@@ -268,6 +271,10 @@ def table_restore(
     table._occurrence_seq = state["occurrence_seq"]
     table.flow_overflow = state["flow_overflow"]
     table.early_eviction = state["early_eviction"]
+    table.tcp_segments = state["tcp_segments"]
+    table.tcp_retransmits = state["tcp_retransmits"]
+    table._last_ts = state["last_ts"]
+    table._due = state["due"]
     return table
 
 

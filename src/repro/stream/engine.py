@@ -1,476 +1,11 @@
-"""The single-pass streaming dataset analyzer.
+"""The ingest engine's former home; it now lives in :mod:`repro.analysis.engine`."""
 
-:class:`StreamDatasetAnalyzer` subclasses the batch
-:class:`~repro.analysis.engine.DatasetAnalyzer` and replaces its
-trace-ingestion path with a bounded-memory single pass:
+from ..analysis.engine import DatasetAnalyzer
 
-* packets come from a :class:`~repro.stream.source.PacketSource`, one
-  record in memory at a time, instead of a materialized list;
-* flows live in a :class:`~repro.stream.flowtable.StreamFlowTable`
-  with idle/hard-timeout and LRU-overflow eviction;
-* per-second utilization accumulates in a sparse
-  :class:`~repro.util.timeline.StreamingTimeline` (O(duration), not
-  O(packets));
-* a :class:`~repro.stream.aggregates.WindowAggregator` maintains live
-  per-window byte/connection/retransmission aggregates;
-* with a store attached, the finished-flow buffer is drained into
-  checkpoint shards every ``checkpoint_every`` packets and the run can
-  resume from the last published checkpoint after a crash.
+# The pipeline benchmark's tracer (bench/tracer.py) patches the decoder here
+# too; the ingest loop calls the one in repro.analysis.engine.
+from ..net.packet import decode_packet  # noqa: F401
 
-Everything *around* ingestion — decode and runt handling, the error
-policy and budget, the data-quality accounting, analyzer circuit
-breakers, the scan filter — is inherited unchanged, and finished flows
-are handed to the inherited ``_dispatch_results`` in the batch table's
-canonical order (see :mod:`repro.stream.flowtable`), which is what keeps
-the study digest byte-identical between the two engines under the
-default eviction knobs.
-
-The bounded-table eviction counters (``flow_overflow``,
-``early_eviction``) are folded into the trace's data-quality counts
-directly — they are graceful-degradation notes, not defects, so they
-never consume the error budget and never raise under ``strict``.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
-
-from ..analysis.engine import DatasetAnalyzer, TraceStats
-from ..analysis.errors import (
-    ErrorKind,
-    ErrorPolicy,
-    IngestionError,
-    TraceErrorLog,
-    TraceQuarantined,
-)
-from ..net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, ETHERTYPE_IPX
-from ..net.ipv4 import PROTO_TCP
-from ..net.packet import CapturedPacket, decode_packet
-from ..util.timeline import StreamingTimeline
-from .aggregates import WindowAggregator, WindowObserver
-from .checkpoint import StreamCheckpointer, table_restore, table_snapshot
-from .flowtable import (
-    DEFAULT_IDLE_TIMEOUT,
-    DEFAULT_MAX_FLOWS,
-    StreamFlowTable,
-)
-from .source import PacketSource
-
-__all__ = ["StreamConfig", "StreamDatasetAnalyzer", "StreamDrained"]
-
-
-class StreamDrained(Exception):
-    """A cooperative mid-trace stop, requested via ``drain_event``.
-
-    Raised from inside the packet loop *after* a final checkpoint has
-    been flushed (when checkpointing is active), so the trace is not a
-    loss: a follow-up run resumes exactly at the drained packet.  This
-    is how the ingestion daemon implements graceful SIGTERM — the
-    supervisor sets the event, the feed surfaces this instead of a
-    half-finished trace result.
-    """
-
-    def __init__(self, label: str, packets: int) -> None:
-        super().__init__(f"drained {label} after {packets} packets")
-        self.label = label
-        self.packets = packets
-
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Knobs of the streaming engine.
-
-    ``max_flows``, ``idle_timeout``, and ``hard_timeout`` can change
-    which connection records are emitted (they split flows when turned
-    down), so non-default values fork the analysis cache key; ``window``
-    and ``checkpoint_every`` are pure observability/durability knobs and
-    never affect records.
-    """
-
-    #: Aggregation window for the live per-window statistics, seconds.
-    window: float = 60.0
-    #: Flow-table capacity (LRU eviction beyond it).
-    max_flows: int = DEFAULT_MAX_FLOWS
-    #: TCP idle eviction timeout, seconds (UDP/ICMP always use the
-    #: batch gap threshold).
-    idle_timeout: float = DEFAULT_IDLE_TIMEOUT
-    #: Optional flow age cap, seconds.
-    hard_timeout: float | None = None
-    #: Packets between checkpoint flushes; 0 disables checkpointing.
-    checkpoint_every: int = 0
-
-    def parity_default(self) -> bool:
-        """True when the record-affecting knobs are at their defaults,
-        i.e. output is guaranteed byte-identical to the batch engine."""
-        return (
-            self.max_flows == DEFAULT_MAX_FLOWS
-            and self.idle_timeout == DEFAULT_IDLE_TIMEOUT
-            and self.hard_timeout is None
-        )
-
-    def record_knobs(self) -> dict:
-        """The key-forking payload for non-parity configurations."""
-        return {
-            "max_flows": self.max_flows,
-            "idle_timeout": self.idle_timeout,
-            "hard_timeout": self.hard_timeout,
-        }
-
-
-class StreamDatasetAnalyzer(DatasetAnalyzer):
-    """Single-pass, bounded-memory drop-in for :class:`DatasetAnalyzer`.
-
-    Parameters beyond the inherited ones:
-
-    ``config``
-        The :class:`StreamConfig` (defaults are digest-parity safe).
-    ``store`` / ``checkpoint_base``
-        A :class:`~repro.store.cache.ConnStore` to flush checkpoints
-        into, and the key prefix naming this run (the study passes the
-        analysis cache key; each trace appends its index).  Without a
-        store, checkpointing is off and finished flows stay buffered in
-        memory until the trace ends — exactly the batch footprint for
-        results, still streaming for packets.
-    ``window_observer``
-        Called once per closed aggregation window (live progress).
-    ``drain_event``
-        An object with ``is_set()`` (a ``threading.Event`` works).  When
-        it reads true mid-trace, the engine flushes a final checkpoint
-        and raises :class:`StreamDrained` instead of finishing the
-        trace — the daemon's graceful-shutdown hook.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *args,
-        config: StreamConfig | None = None,
-        store=None,
-        checkpoint_base: str = "",
-        window_observer: WindowObserver | None = None,
-        drain_event=None,
-        **kwargs,
-    ) -> None:
-        super().__init__(name, *args, **kwargs)
-        self.config = config if config is not None else StreamConfig()
-        self.store = store
-        self.checkpoint_base = checkpoint_base or name
-        self.window_observer = window_observer
-        self.drain_event = drain_event
-        #: Per-trace window aggregate summaries, in trace order.
-        self.window_summaries: list[dict] = []
-
-    # -- ingestion ------------------------------------------------------------
-
-    def process_pcap(self, path: str | Path) -> TraceStats:
-        """Stream one trace file through the bounded pipeline."""
-        label = str(path)
-        errors = self._new_error_log(label)
-        try:
-            source = PacketSource.open(path, errors=errors)
-        except TraceQuarantined as exc:
-            return self._quarantined_trace(label, errors, exc.reason)
-        with source:
-            return self.process_stream(source, label=label, errors=errors)
-
-    def process_packets(
-        self,
-        packets: Iterable[CapturedPacket],
-        label: str = "<memory>",
-        errors: TraceErrorLog | None = None,
-    ) -> TraceStats:
-        """Stream an in-memory packet iterable (no checkpoint support)."""
-        source = (
-            packets
-            if isinstance(packets, PacketSource)
-            else PacketSource(packets, path=label)
-        )
-        return self.process_stream(source, label=label, errors=errors)
-
-    def _checkpoint_key(self, trace_index: int) -> str:
-        return f"{self.checkpoint_base}-t{trace_index:03d}"
-
-    def process_stream(
-        self,
-        source: PacketSource,
-        label: str = "<memory>",
-        errors: TraceErrorLog | None = None,
-    ) -> TraceStats:
-        """The single pass: decode, account, flow-track, checkpoint."""
-        errlog = errors if errors is not None else self._new_error_log(label)
-        index = len(self.analysis.traces)
-        stats = TraceStats(index=index, path=label)
-        config = self.config
-
-        checkpointer: StreamCheckpointer | None = None
-        resume_state: dict | None = None
-        checkpointing = (
-            self.store is not None
-            and config.checkpoint_every > 0
-            and source.offset is not None
-        )
-        if checkpointing:
-            key = self._checkpoint_key(index)
-            loaded = StreamCheckpointer.load(self.store, key)
-            if loaded is not None:
-                checkpointer, resume_state = loaded
-            else:
-                checkpointer = StreamCheckpointer(self.store, key)
-
-        aggregator = self._make_aggregator(resume_state)
-        table = self._make_table(index, aggregator, resume_state)
-
-        if resume_state is not None:
-            trace = resume_state["trace"]
-            stats.packets = trace["packets"]
-            stats.timestamp_regressions = trace["timestamp_regressions"]
-            stats.other_ip_protocols = dict(trace["other_ip_protocols"])
-            l2 = dict(trace["l2"])
-            min_ts = trace["min_ts"]
-            max_ts = trace["max_ts"]
-            prev_ts = trace["prev_ts"]
-            timeline = StreamingTimeline.restore(resume_state["timeline"])
-            saved = resume_state["errlog"]
-            errlog.counts.update(saved["counts"])
-            errlog.samples.extend(saved["samples"])
-            errlog.records_ok = saved["records_ok"]
-            source.resume_at(
-                resume_state["source"]["offset"],
-                resume_state["source"]["packets_read"],
-            )
-        else:
-            l2 = {"ip": 0, "arp": 0, "ipx": 0, "other": 0}
-            min_ts = None
-            max_ts = 0.0
-            prev_ts = None
-            timeline = StreamingTimeline(1.0)
-
-        checkpoint_every = config.checkpoint_every if checkpointer is not None else 0
-        strict = self.error_policy is ErrorPolicy.STRICT
-        drain = self.drain_event
-        try:
-            for pkt in source:
-                stats.packets += 1
-                try:
-                    decoded = decode_packet(pkt)
-                except Exception as exc:  # decoder contract is "never raise"
-                    errlog.record(ErrorKind.DECODE_ERROR, detail=repr(exc))
-                    continue
-                if decoded.runt:
-                    errlog.record(
-                        ErrorKind.RUNT_FRAME,
-                        detail=f"{decoded.caplen}-byte frame (record {stats.packets})",
-                    )
-                    continue
-                errlog.records_ok += 1
-                ts = decoded.ts
-                if prev_ts is not None and ts < prev_ts:
-                    stats.timestamp_regressions += 1
-                prev_ts = ts
-                if min_ts is None:
-                    min_ts = max_ts = ts
-                else:
-                    min_ts = min(min_ts, ts)
-                    max_ts = max(max_ts, ts)
-                if decoded.ethertype == ETHERTYPE_IPV4:
-                    l2["ip"] += 1
-                elif decoded.ethertype == ETHERTYPE_ARP:
-                    l2["arp"] += 1
-                elif decoded.ethertype == ETHERTYPE_IPX:
-                    l2["ipx"] += 1
-                else:
-                    l2["other"] += 1
-                timeline.add(ts, decoded.wire_len)
-                aggregator.observe_packet(ts, decoded.wire_len)
-                if decoded.proto is not None and decoded.proto not in (1, 6, 17):
-                    stats.other_ip_protocols[decoded.proto] = (
-                        stats.other_ip_protocols.get(decoded.proto, 0) + 1
-                    )
-                try:
-                    table.process(decoded)
-                except Exception as exc:
-                    # Same contract as the batch loop: strict propagates
-                    # the raw exception (it may be an analyzer bug from
-                    # the UDP observer), tolerant records and moves on.
-                    if strict:
-                        raise
-                    errlog.record(
-                        ErrorKind.DECODE_ERROR, detail=f"flow ingestion: {exc!r}"
-                    )
-                if checkpoint_every and stats.packets % checkpoint_every == 0:
-                    try:
-                        self._write_checkpoint(
-                            checkpointer, source, table, aggregator, timeline,
-                            errlog, stats, l2, min_ts, max_ts, prev_ts,
-                        )
-                    except OSError as exc:
-                        # Checkpoints are durability, not correctness: a
-                        # full or failing disk costs resumability, never
-                        # results.  Strict still treats it as the defect
-                        # it is; tolerant degrades to buffering in memory
-                        # until trace end, with a data-quality row.
-                        if strict:
-                            raise IngestionError(
-                                ErrorKind.IO_ERROR, label, None,
-                                f"checkpoint publication failed: {exc}",
-                            ) from exc
-                        errlog.counts[ErrorKind.IO_ERROR.value] = (
-                            errlog.counts.get(ErrorKind.IO_ERROR.value, 0) + 1
-                        )
-                        checkpoint_every = 0
-                if drain is not None and drain.is_set():
-                    # Checked *after* the packet is fully accounted, so
-                    # the saved source offset (next unread record) agrees
-                    # with every counter — resume replays nothing, skips
-                    # nothing.
-                    if checkpoint_every:
-                        try:
-                            self._write_checkpoint(
-                                checkpointer, source, table, aggregator,
-                                timeline, errlog, stats, l2, min_ts, max_ts,
-                                prev_ts,
-                            )
-                        except OSError:
-                            # Best-effort: a drain must not hang on a bad
-                            # disk; resume replays the last good state.
-                            pass
-                    raise StreamDrained(label, stats.packets)
-        except TraceQuarantined as exc:
-            stats.l2_counts = l2
-            stats.errors = dict(errlog.counts)
-            stats.quarantined = True
-            stats.quarantine_reason = exc.reason
-            self.analysis.traces.append(stats)
-            if checkpointer is not None:
-                checkpointer.clear()  # nothing left worth resuming
-            return stats
-        stats.l2_counts = l2
-        stats.errors = dict(errlog.counts)
-        if min_ts is not None:
-            stats.start_ts = min_ts
-            stats.end_ts = max(max_ts, min_ts + 1.0)
-            stats.utilization = timeline.freeze(stats.start_ts, stats.end_ts)
-        aggregator.finish()
-        self.window_summaries.append(aggregator.summary())
-        self._finish_stream_trace(table, checkpointer, stats)
-        self.analysis.traces.append(stats)
-        return stats
-
-    # -- helpers --------------------------------------------------------------
-
-    def _make_aggregator(self, resume_state: dict | None) -> WindowAggregator:
-        if resume_state is not None:
-            return WindowAggregator.restore(
-                resume_state["aggregator"], observer=self.window_observer
-            )
-        return WindowAggregator(self.config.window, observer=self.window_observer)
-
-    def _make_table(
-        self, index: int, aggregator: WindowAggregator, resume_state: dict | None
-    ) -> StreamFlowTable:
-        if resume_state is not None:
-            table = table_restore(
-                resume_state["table"],
-                collect_payload=self.analysis.full_payload,
-                udp_observer=self._udp_observer,
-                trace_index=index,
-            )
-            table.flow_observer = aggregator.observe_flow
-            table.tcp_observer = aggregator.observe_tcp
-            return table
-        config = self.config
-        return StreamFlowTable(
-            collect_payload=self.analysis.full_payload,
-            udp_observer=self._udp_observer,
-            trace_index=index,
-            max_flows=config.max_flows,
-            idle_timeout=config.idle_timeout,
-            hard_timeout=config.hard_timeout,
-            flow_observer=aggregator.observe_flow,
-            tcp_observer=aggregator.observe_tcp,
-        )
-
-    def _write_checkpoint(
-        self,
-        checkpointer: StreamCheckpointer,
-        source: PacketSource,
-        table: StreamFlowTable,
-        aggregator: WindowAggregator,
-        timeline: StreamingTimeline,
-        errlog: TraceErrorLog,
-        stats: TraceStats,
-        l2: dict[str, int],
-        min_ts: float | None,
-        max_ts: float,
-        prev_ts: float | None,
-    ) -> None:
-        """Drain safe results into a batch shard and publish the state."""
-        drained = table.drain()
-        if drained:
-            try:
-                checkpointer.flush_batch(drained)
-            except BaseException:
-                # The batch never hit the disk: hand its results back to
-                # the table so nothing is lost when the caller degrades.
-                table.requeue(drained)
-                raise
-        checkpointer.save(
-            {
-                "trace": {
-                    "packets": stats.packets,
-                    "timestamp_regressions": stats.timestamp_regressions,
-                    "l2": dict(l2),
-                    "other_ip_protocols": dict(stats.other_ip_protocols),
-                    "min_ts": min_ts,
-                    "max_ts": max_ts,
-                    "prev_ts": prev_ts,
-                },
-                "timeline": timeline.snapshot(),
-                "errlog": {
-                    "counts": dict(errlog.counts),
-                    "samples": list(errlog.samples),
-                    "records_ok": errlog.records_ok,
-                },
-                "aggregator": aggregator.snapshot(),
-                "table": table_snapshot(table),
-                "source": {
-                    "offset": source.offset,
-                    "packets_read": source.packets_read,
-                },
-            }
-        )
-
-    def _finish_stream_trace(
-        self,
-        table: StreamFlowTable,
-        checkpointer: StreamCheckpointer | None,
-        stats: TraceStats,
-    ) -> None:
-        """Merge, order, and dispatch every result of the trace.
-
-        Previously drained checkpoint batches are re-read from the
-        store, joined with the still-buffered results, promotion-mapped,
-        and sorted into the batch table's canonical flush order before
-        the inherited dispatch runs — the analyzers and the connection
-        list cannot tell which engine fed them.
-        """
-        pending = table.finish()
-        if checkpointer is not None and checkpointer.batch_digests:
-            pending = checkpointer.load_batches() + pending
-        promotions = table.promotions
-        pending.sort(key=lambda item: item.sort_key(promotions))
-        self._dispatch_results((item.result for item in pending), stats)
-        if table.flow_overflow:
-            stats.errors[ErrorKind.FLOW_OVERFLOW.value] = (
-                stats.errors.get(ErrorKind.FLOW_OVERFLOW.value, 0)
-                + table.flow_overflow
-            )
-        if table.early_eviction:
-            stats.errors[ErrorKind.EARLY_EVICTION.value] = (
-                stats.errors.get(ErrorKind.EARLY_EVICTION.value, 0)
-                + table.early_eviction
-            )
-        if checkpointer is not None:
-            checkpointer.clear()
+# The pipeline benchmark's tracer patches ``process_pcap`` on this name; it
+# is the same class.
+StreamDatasetAnalyzer = DatasetAnalyzer

@@ -1,532 +1,7 @@
-"""A bounded-memory flow table with digest-parity eviction ordering.
+"""The flow table's former home; it now lives in :mod:`repro.analysis.flow`."""
 
-The batch :class:`~repro.analysis.flow.FlowTable` keeps every flow until
-the trace ends, so its memory grows with the number of distinct flows.
-:class:`StreamFlowTable` bounds that: flows are evicted when idle past a
-timeout, when older than a hard age limit, or — least-recently-used
-first — when the table hits ``max_flows``.  TCP state transitions reuse
-:mod:`repro.analysis.tcpstate` unchanged, so an evicted flow carries the
-same record the batch table would have produced for the same segments.
+from ..analysis.flow import FlowTable
 
-Parity with the batch engine is an ordering problem as much as a
-content problem: the study digest hashes rendered tables whose row
-order descends from the order connections were appended, and the batch
-table has a precise flush order —
-
-1. mid-trace evictions of UDP/ICMP flows whose key saw a packet after a
-   ``_UDP_TIMEOUT`` gap, in packet-arrival (occurrence) order, then
-2. TCP flows in creation order, then
-3. remaining UDP flows in creation order, then
-4. remaining ICMP flows in creation order.
-
-The streaming table may evict a flow long before the batch table would
-have flushed it, so every emitted result carries a *sort key* — a
-``(phase, sequence)`` pair naming where the batch engine would have
-placed it — and the engine sorts before dispatching.  Phase 0 is the
-mid-trace occurrence sequence; phases 1/2/3 are TCP/UDP/ICMP creation
-order.  A proactively evicted UDP/ICMP flow leaves a *tombstone*: if a
-same-key packet later arrives past the batch gap threshold, the batch
-table would have evicted it at that instant, so the tombstone resolves
-to a phase-0 occurrence number (recorded as a *promotion*, because the
-result may already have been flushed to a checkpoint shard and cannot be
-rewritten).  If the packet arrives inside the gap threshold — or the
-flow was TCP, which batch never evicts — the connection has genuinely
-been split in two; that is counted as ``early_eviction`` and is the one
-place streaming output can diverge from batch.  Under the default knobs
-(no hard timeout, a TCP idle timeout far beyond any trace window, and
-the UDP/ICMP idle timeout equal to the batch gap threshold) no split can
-occur on a time-sorted trace and the digest is byte-identical.
-"""
-
-from __future__ import annotations
-
-from collections import OrderedDict, deque
-from typing import Callable
-
-from ..analysis.conn import ConnRecord, ConnState
-from ..analysis.flow import (
-    _UDP_ORIENT_PORTS,
-    _UDP_TIMEOUT,
-    STREAM_PORTS,
-    TLS_HEAD_PORTS,
-    FlowResult,
-    FlowTable,
-    UdpObserver,
-    finalize_tcp_flow,
-)
-from ..analysis.tcpstate import TcpFlowState
-from ..net.ethernet import ETHERTYPE_IPV4
-from ..net.icmp import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST
-from ..net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-from ..net.packet import DecodedPacket
-
-__all__ = [
-    "StreamFlowTable",
-    "PendingResult",
-    "DEFAULT_MAX_FLOWS",
-    "DEFAULT_IDLE_TIMEOUT",
-    "PHASE_OCCURRENCE",
-    "PHASE_TCP",
-    "PHASE_UDP",
-    "PHASE_ICMP",
-]
-
-#: Default flow-table capacity: far above any seed dataset's live-flow
-#: count, so overflow eviction only fires when explicitly provoked.
-DEFAULT_MAX_FLOWS = 262144
-
-#: Default TCP idle timeout.  The batch table never times TCP out, so
-#: parity requires a value beyond any plausible intra-connection gap
-#: within one tap window (the paper's traces span minutes to hours).
-DEFAULT_IDLE_TIMEOUT = 3600.0
-
-PHASE_OCCURRENCE = 0
-PHASE_TCP = 1
-PHASE_UDP = 2
-PHASE_ICMP = 3
-
-_PHASE_OF = {"tcp": PHASE_TCP, "udp": PHASE_UDP, "icmp": PHASE_ICMP}
-
-
-class PendingResult:
-    """One finished flow awaiting ordered dispatch.
-
-    ``flow_id`` is the flow's creation sequence number (unique within a
-    trace) and keys the promotion map; ``(phase, seq)`` is the batch-
-    equivalent sort key as known at emission time.
-    """
-
-    __slots__ = ("flow_id", "phase", "seq", "result")
-
-    def __init__(self, flow_id: int, phase: int, seq: int, result: FlowResult) -> None:
-        self.flow_id = flow_id
-        self.phase = phase
-        self.seq = seq
-        self.result = result
-
-    def sort_key(self, promotions: dict[int, int]) -> tuple[int, int]:
-        """The final ordering key, with any phase-0 promotion applied."""
-        promoted = promotions.get(self.flow_id)
-        if promoted is not None:
-            return (PHASE_OCCURRENCE, promoted)
-        return (self.phase, self.seq)
-
-
-class _StreamFlow:
-    __slots__ = ("kind", "key", "record", "state", "seq")
-
-    def __init__(
-        self,
-        kind: str,
-        key: tuple,
-        record: ConnRecord,
-        state: TcpFlowState | None,
-        seq: int,
-    ) -> None:
-        self.kind = kind
-        self.key = key
-        self.record = record
-        self.state = state
-        self.seq = seq
-
-
-class _Tombstone:
-    __slots__ = ("flow_id", "last_ts")
-
-    def __init__(self, flow_id: int, last_ts: float) -> None:
-        self.flow_id = flow_id
-        self.last_ts = last_ts
-
-
-class StreamFlowTable:
-    """Bounded flow tracking over a single pass of decoded packets.
-
-    Parameters mirror :class:`~repro.analysis.flow.FlowTable` where they
-    overlap (``collect_payload``, ``udp_observer``, ``trace_index``);
-    the bounding knobs are new:
-
-    ``max_flows``
-        Hard cap on simultaneously tracked flows.  Admitting a flow
-        beyond it evicts the globally least-recently-touched flow first
-        and counts ``flow_overflow``.
-    ``idle_timeout``
-        Seconds of inactivity after which a TCP flow is evicted.  UDP
-        and ICMP always use the batch gap threshold (60 s), which is
-        what makes their proactive eviction parity-safe.
-    ``hard_timeout``
-        Optional cap on flow age (``None`` disables it, the default).
-    ``flow_observer``
-        Called with each newly created flow's record (drives per-window
-        connection-start aggregates).
-    ``tcp_observer``
-        Called per TCP segment with ``(ts, retransmit_delta)`` — how
-        many retransmissions the flow's state machine charged the
-        segment with — which is what makes a live per-window
-        retransmission rate possible without a second pass.
-    """
-
-    def __init__(
-        self,
-        collect_payload: bool = True,
-        udp_observer: UdpObserver | None = None,
-        trace_index: int = -1,
-        *,
-        max_flows: int = DEFAULT_MAX_FLOWS,
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-        hard_timeout: float | None = None,
-        flow_observer: Callable[[ConnRecord], None] | None = None,
-        tcp_observer: Callable[[float, int], None] | None = None,
-    ) -> None:
-        if max_flows < 1:
-            raise ValueError(f"max_flows must be positive: {max_flows}")
-        self.collect_payload = collect_payload
-        self.udp_observer = udp_observer
-        self.trace_index = trace_index
-        self.max_flows = max_flows
-        self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
-        self.flow_observer = flow_observer
-        self.tcp_observer = tcp_observer
-        # Per-protocol flow maps, maintained in recency order (touched
-        # flows move to the back), so the front is the LRU candidate.
-        self._tables: dict[str, OrderedDict[tuple, _StreamFlow]] = {
-            "tcp": OrderedDict(),
-            "udp": OrderedDict(),
-            "icmp": OrderedDict(),
-        }
-        # Creation-order queue for hard-timeout sweeps; entries are
-        # dropped lazily once their flow is no longer live.  Only
-        # maintained when a hard timeout is configured, so dead refs
-        # cannot pile up in the default configuration.
-        self._by_creation: deque[_StreamFlow] = deque()
-        self._pending: list[PendingResult] = []
-        self._tombstones: dict[tuple[str, tuple], _Tombstone] = {}
-        #: flow_id -> occurrence sequence, for results already emitted
-        #: (possibly already checkpointed) that a later same-key packet
-        #: proved the batch engine would have evicted mid-trace.
-        self.promotions: dict[int, int] = {}
-        self._creation_seq = 0
-        self._occurrence_seq = 0
-        #: Capacity-forced evictions (the table was full).
-        self.flow_overflow = 0
-        #: Connections split by a premature eviction (a same-key packet
-        #: arrived after the flow was already emitted, inside the window
-        #: where the batch engine would have kept the flow alive).
-        self.early_eviction = 0
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def live_flows(self) -> int:
-        """Flows currently tracked."""
-        return sum(len(table) for table in self._tables.values())
-
-    @property
-    def pending_results(self) -> int:
-        """Finished flows buffered for ordered dispatch (undrained)."""
-        return len(self._pending)
-
-    # -- sequence allocation ------------------------------------------------
-
-    def _next_creation(self) -> int:
-        seq = self._creation_seq
-        self._creation_seq += 1
-        return seq
-
-    def _next_occurrence(self) -> int:
-        seq = self._occurrence_seq
-        self._occurrence_seq += 1
-        return seq
-
-    # -- ingestion ----------------------------------------------------------
-
-    def process(self, pkt: DecodedPacket) -> None:
-        """Account one decoded packet, then sweep expired flows."""
-        if pkt.ethertype == ETHERTYPE_IPV4 and pkt.proto is not None:
-            if pkt.proto == PROTO_TCP and pkt.src_port is not None:
-                self._process_tcp(pkt)
-            elif pkt.proto == PROTO_UDP and pkt.src_port is not None:
-                self._process_udp(pkt)
-            elif pkt.proto == PROTO_ICMP and pkt.icmp_type is not None:
-                self._process_icmp(pkt)
-        self._expire(pkt.ts)
-
-    def _resolve_tombstone(self, kind: str, key: tuple, now: float) -> None:
-        """A new flow is starting on a key a previous flow once owned."""
-        tomb = self._tombstones.pop((kind, key), None)
-        if tomb is None:
-            return
-        if kind != "tcp" and now - tomb.last_ts > _UDP_TIMEOUT:
-            # The batch table would have evicted the old flow at this
-            # very packet: promote its result into the occurrence phase.
-            self.promotions[tomb.flow_id] = self._next_occurrence()
-        else:
-            # Batch would have kept the old flow alive (TCP is never
-            # timed out; UDP/ICMP only past the gap threshold), so the
-            # eviction split one connection into two records.
-            self.early_eviction += 1
-
-    def _admit(self, flow: _StreamFlow) -> None:
-        """Insert a new flow, evicting LRU victims if at capacity."""
-        while self.live_flows >= self.max_flows:
-            victim = self._lru_victim()
-            if victim is None:  # pragma: no cover - max_flows >= 1 guard
-                break
-            self._evict(victim, overflow=True)
-        self._tables[flow.kind][flow.key] = flow
-        if self.hard_timeout is not None:
-            self._by_creation.append(flow)
-
-    def _lru_victim(self) -> _StreamFlow | None:
-        """The least-recently-touched flow across all three protocols."""
-        victim: _StreamFlow | None = None
-        for table in self._tables.values():
-            if not table:
-                continue
-            flow = next(iter(table.values()))
-            if victim is None or flow.record.last_ts < victim.record.last_ts:
-                victim = flow
-        return victim
-
-    def _process_tcp(self, pkt: DecodedPacket) -> None:
-        key = FlowTable._canonical_key(pkt)
-        table = self._tables["tcp"]
-        flow = table.get(key)
-        if flow is None:
-            self._resolve_tombstone("tcp", key, pkt.ts)
-            orig_ip, orig_port, resp_ip, resp_port = FlowTable._orient(pkt)
-            record = ConnRecord(
-                proto="tcp",
-                orig_ip=orig_ip,
-                resp_ip=resp_ip,
-                orig_port=orig_port,
-                resp_port=resp_port,
-                first_ts=pkt.ts,
-                last_ts=pkt.ts,
-                trace_index=self.trace_index,
-            )
-            collect = self.collect_payload and (
-                resp_port in STREAM_PORTS or resp_port in TLS_HEAD_PORTS
-            )
-            flow = _StreamFlow("tcp", key, record, TcpFlowState(collect), self._next_creation())
-            self._admit(flow)
-            if self.flow_observer is not None:
-                self.flow_observer(record)
-        else:
-            table.move_to_end(key)
-        record = flow.record
-        record.last_ts = pkt.ts
-        from_orig = pkt.src_ip == record.orig_ip and pkt.src_port == record.orig_port
-        if from_orig:
-            record.orig_pkts += 1
-            record.orig_bytes += pkt.payload_len
-        else:
-            record.resp_pkts += 1
-            record.resp_bytes += pkt.payload_len
-        state = flow.state
-        before = state.orig.retransmits + state.resp.retransmits
-        state.on_segment(from_orig, pkt.seq, pkt.tcp_flags, pkt.payload, pkt.payload_len)
-        if self.tcp_observer is not None:
-            self.tcp_observer(
-                pkt.ts, state.orig.retransmits + state.resp.retransmits - before
-            )
-
-    def _process_udp(self, pkt: DecodedPacket) -> None:
-        key = FlowTable._canonical_key(pkt)
-        table = self._tables["udp"]
-        flow = table.get(key)
-        if flow is not None and pkt.ts - flow.record.last_ts > _UDP_TIMEOUT:
-            # The batch table's lazy eviction: a same-key packet past the
-            # gap finishes the old flow here and now, in occurrence order.
-            self._finish_gap(flow)
-            flow = None
-        if flow is None:
-            self._resolve_tombstone("udp", key, pkt.ts)
-            src_is_service = pkt.src_port in _UDP_ORIENT_PORTS
-            dst_is_service = pkt.dst_port in _UDP_ORIENT_PORTS
-            if src_is_service and not dst_is_service:
-                orig = (pkt.dst_ip, pkt.dst_port)
-                resp = (pkt.src_ip, pkt.src_port)
-            else:
-                orig = (pkt.src_ip, pkt.src_port)
-                resp = (pkt.dst_ip, pkt.dst_port)
-            record = ConnRecord(
-                proto="udp",
-                orig_ip=orig[0],
-                resp_ip=resp[0],
-                orig_port=orig[1],
-                resp_port=resp[1],
-                first_ts=pkt.ts,
-                last_ts=pkt.ts,
-                state=ConnState.EST,
-                trace_index=self.trace_index,
-            )
-            flow = _StreamFlow("udp", key, record, None, self._next_creation())
-            self._admit(flow)
-            if self.flow_observer is not None:
-                self.flow_observer(record)
-        else:
-            table.move_to_end(key)
-        record = flow.record
-        record.last_ts = pkt.ts
-        from_orig = pkt.src_ip == record.orig_ip and pkt.src_port == record.orig_port
-        if from_orig:
-            record.orig_pkts += 1
-            record.orig_bytes += pkt.payload_len
-        else:
-            record.resp_pkts += 1
-            record.resp_bytes += pkt.payload_len
-        if self.udp_observer is not None:
-            self.udp_observer(record, from_orig, pkt)
-
-    def _process_icmp(self, pkt: DecodedPacket) -> None:
-        if pkt.icmp_type == ICMP_ECHO_REQUEST:
-            key = (pkt.src_ip, pkt.dst_ip)
-            from_orig = True
-        elif pkt.icmp_type == ICMP_ECHO_REPLY:
-            key = (pkt.dst_ip, pkt.src_ip)
-            from_orig = False
-        else:
-            key = (pkt.src_ip, pkt.dst_ip)
-            from_orig = True
-        table = self._tables["icmp"]
-        flow = table.get(key)
-        if flow is not None and pkt.ts - flow.record.last_ts > _UDP_TIMEOUT:
-            self._finish_gap(flow)
-            flow = None
-        if flow is None:
-            self._resolve_tombstone("icmp", key, pkt.ts)
-            record = ConnRecord(
-                proto="icmp",
-                orig_ip=key[0],
-                resp_ip=key[1],
-                orig_port=0,
-                resp_port=0,
-                first_ts=pkt.ts,
-                last_ts=pkt.ts,
-                state=ConnState.EST,
-                trace_index=self.trace_index,
-            )
-            flow = _StreamFlow("icmp", key, record, None, self._next_creation())
-            self._admit(flow)
-            if self.flow_observer is not None:
-                self.flow_observer(record)
-        else:
-            table.move_to_end(key)
-        record = flow.record
-        record.last_ts = pkt.ts
-        if from_orig:
-            record.orig_pkts += 1
-            record.orig_bytes += pkt.payload_len
-        else:
-            record.resp_pkts += 1
-            record.resp_bytes += pkt.payload_len
-
-    # -- eviction ------------------------------------------------------------
-
-    def _finalize(self, flow: _StreamFlow) -> FlowResult:
-        if flow.state is not None:
-            return finalize_tcp_flow(flow.record, flow.state)
-        return FlowResult(record=flow.record)
-
-    def _remove(self, flow: _StreamFlow) -> None:
-        del self._tables[flow.kind][flow.key]
-
-    def _finish_gap(self, flow: _StreamFlow) -> None:
-        """Batch-equivalent mid-trace eviction: phase 0, occurrence order."""
-        self._remove(flow)
-        self._pending.append(
-            PendingResult(flow.seq, PHASE_OCCURRENCE, self._next_occurrence(), self._finalize(flow))
-        )
-
-    def _evict(self, flow: _StreamFlow, *, overflow: bool = False) -> None:
-        """Proactive eviction (idle, hard, or capacity pressure).
-
-        The result keeps its end-of-trace phase for now; a tombstone
-        watches the key so a later same-key packet can promote it to the
-        occurrence phase (or prove it a split).
-        """
-        self._remove(flow)
-        self._pending.append(
-            PendingResult(flow.seq, _PHASE_OF[flow.kind], flow.seq, self._finalize(flow))
-        )
-        self._tombstones[(flow.kind, flow.key)] = _Tombstone(flow.seq, flow.record.last_ts)
-        if overflow:
-            self.flow_overflow += 1
-
-    def _expire(self, now: float) -> None:
-        """Sweep idle and over-age flows, oldest first."""
-        for kind, timeout in (
-            ("tcp", self.idle_timeout),
-            ("udp", _UDP_TIMEOUT),
-            ("icmp", _UDP_TIMEOUT),
-        ):
-            table = self._tables[kind]
-            while table:
-                flow = next(iter(table.values()))
-                if now - flow.record.last_ts <= timeout:
-                    break
-                self._evict(flow)
-        if self.hard_timeout is None:
-            return
-        queue = self._by_creation
-        while queue:
-            flow = queue[0]
-            if self._tables[flow.kind].get(flow.key) is not flow:
-                queue.popleft()  # already evicted or finished
-                continue
-            if now - flow.record.first_ts <= self.hard_timeout:
-                break
-            queue.popleft()
-            self._evict(flow)
-
-    # -- draining ------------------------------------------------------------
-
-    def drain(self) -> list[PendingResult]:
-        """Hand over buffered results whose sort keys can no longer change.
-
-        A result with a live tombstone may still be promoted into the
-        occurrence phase by a future packet, so it stays buffered; all
-        others are safe to flush into a checkpoint shard.  Results that
-        were already *promoted* are also safe — the promotion map travels
-        in the checkpoint state, not in the result.
-        """
-        watched = {tomb.flow_id for tomb in self._tombstones.values()}
-        drained: list[PendingResult] = []
-        kept: list[PendingResult] = []
-        for pending in self._pending:
-            (kept if pending.flow_id in watched else drained).append(pending)
-        self._pending = kept
-        return drained
-
-    def requeue(self, results: list[PendingResult]) -> None:
-        """Put drained-but-unpersisted results back in the buffer.
-
-        The checkpointer calls this when a batch flush dies on an I/O
-        fault: the results return to ``_pending`` so no connection is
-        lost, and the next drain (or ``finish``) hands them over again.
-        Buffer order is irrelevant — dispatch sorts by
-        :meth:`PendingResult.sort_key` at trace end.
-        """
-        self._pending[:0] = results
-
-    def finish(self) -> list[PendingResult]:
-        """Finish every live flow and return all still-buffered results.
-
-        Surviving flows get their batch flush position: end-of-trace
-        phase by protocol, creation order within it.  The caller merges
-        these with previously drained batches, applies ``promotions``,
-        and sorts by :meth:`PendingResult.sort_key`.
-        """
-        for kind in ("tcp", "udp", "icmp"):
-            table = self._tables[kind]
-            for flow in table.values():
-                self._pending.append(
-                    PendingResult(flow.seq, _PHASE_OF[kind], flow.seq, self._finalize(flow))
-                )
-            table.clear()
-        self._by_creation.clear()
-        self._tombstones.clear()
-        pending = self._pending
-        self._pending = []
-        return pending
+# The pipeline benchmark's tracer (bench/tracer.py) still patches
+# ``process`` on this name; it is the same class.
+StreamFlowTable = FlowTable

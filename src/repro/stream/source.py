@@ -1,11 +1,11 @@
 """The incremental packet source: one record in memory at a time.
 
-The batch pipeline materializes a trace before analyzing it
-(``read_pcap`` returns a list), which caps trace size at RAM.  A
-:class:`PacketSource` instead wraps :class:`~repro.pcap.reader.PcapReader`
-iteration directly — the reader already streams record by record — and
-adds what the single-pass engine needs on top: progress counters, the
-current record boundary (for checkpointing), and resume-by-offset.
+``read_pcap`` materializes a trace as a list, which caps trace size at
+RAM.  A :class:`PacketSource` instead iterates
+:class:`~repro.pcap.reader.PcapReader` directly — the reader already
+streams record by record — and adds what the single-pass engine needs
+on top: a progress counter, the current record boundary (for
+checkpointing), and resume-by-offset.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ class PacketSource:
         self._reader = packets if isinstance(packets, PcapReader) else None
         self._packets = packets
         self.path = self._reader.path if self._reader is not None else path
-        self.packets_read = 0
+        # Records before the resume point (file-backed) or yielded so
+        # far (iterables); a reader counts its own records.
+        self._counted = 0
 
     @classmethod
     def open(
@@ -49,6 +51,13 @@ class PacketSource:
     ) -> "PacketSource":
         """Open a pcap file as a streaming source."""
         return cls(PcapReader.open(path, errors=errors))
+
+    @property
+    def packets_read(self) -> int:
+        """Records this source has yielded, counting from the trace start."""
+        if self._reader is not None:
+            return self._counted + self._reader.records_read
+        return self._counted
 
     @property
     def offset(self) -> int | None:
@@ -64,11 +73,16 @@ class PacketSource:
         if self._reader is None:
             raise ValueError("cannot resume an in-memory packet source")
         self._reader.seek_record(offset)
-        self.packets_read = packets_read
+        self._counted = packets_read - self._reader.records_read
 
     def __iter__(self) -> Iterator[CapturedPacket]:
-        for pkt in self._packets:
-            self.packets_read += 1
+        if self._reader is not None:
+            return iter(self._reader)
+        return self._count(self._packets)
+
+    def _count(self, packets: Iterable[CapturedPacket]) -> Iterator[CapturedPacket]:
+        for pkt in packets:
+            self._counted += 1
             yield pkt
 
     def close(self) -> None:

@@ -138,7 +138,7 @@ def fraction_table(counts: Mapping[str, float]) -> dict[str, float]:
 class StreamingMoments:
     """Single-pass count/mean/variance/min/max (Welford's algorithm).
 
-    The streaming engine's counterpart to :func:`summarize`: O(1) state,
+    The single-pass engine's counterpart to :func:`summarize`: O(1) state,
     one update per observation, no sample retained.  ``merge`` combines
     two accumulators (Chan's parallel update), so per-window moments can
     be rolled up into per-trace ones without a second pass.

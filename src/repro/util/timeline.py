@@ -95,8 +95,8 @@ class StreamingTimeline:
     """Single-pass byte binning with memory bounded by trace duration.
 
     :class:`ByteTimeline` needs the trace's full time span up front, so
-    the batch engine buffers every (timestamp, bytes) point — O(packets)
-    memory.  This accumulator instead anchors its 1-second bins at the
+    filling one directly means buffering every (timestamp, bytes) point —
+    O(packets) memory.  This accumulator instead anchors its 1-second bins at the
     *first* packet's timestamp and keeps a sparse ``{bin index: bytes}``
     dict, O(duration) memory, then :meth:`freeze`\\ s into a regular
     :class:`ByteTimeline` once the span is known.
@@ -121,10 +121,14 @@ class StreamingTimeline:
 
     def add(self, timestamp: float, nbytes: int) -> None:
         """Record ``nbytes`` of wire traffic at ``timestamp``."""
-        if self._anchor is None:
-            self._anchor = timestamp
-        index = max(int((timestamp - self._anchor) / self.bin_seconds), 0)
-        self._bins[index] = self._bins.get(index, 0) + nbytes
+        anchor = self._anchor
+        if anchor is None:
+            anchor = self._anchor = timestamp
+        index = int((timestamp - anchor) / self.bin_seconds)
+        if index < 0:
+            index = 0
+        bins = self._bins
+        bins[index] = bins.get(index, 0) + nbytes
 
     def freeze(self, start: float, end: float) -> ByteTimeline:
         """Materialize a :class:`ByteTimeline` over ``[start, end]``.

@@ -21,7 +21,7 @@ from repro.gen.topology import Enterprise, Role
 from repro.report.quality import data_quality_table
 from repro.runtime.telemetry import TelemetryLog, read_events
 from repro.store import ConnStore
-from repro.stream.engine import StreamConfig
+from repro.analysis.engine import StreamConfig
 
 
 @pytest.fixture(autouse=True)
@@ -117,7 +117,6 @@ def test_strict_raises_on_failed_checkpoint(small_traces, tmp_path):
             scanners,
             error_policy="strict",
             store=store,
-            engine="stream",
             stream=StreamConfig(checkpoint_every=100),
         )
     assert excinfo.value.kind is ErrorKind.IO_ERROR
@@ -135,7 +134,6 @@ def test_tolerant_checkpoint_failure_buffers_in_memory(small_traces, tmp_path):
         scanners,
         error_policy="tolerant",
         store=store,
-        engine="stream",
         stream=StreamConfig(checkpoint_every=100),
     )
     deactivate()

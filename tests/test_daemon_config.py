@@ -16,7 +16,7 @@ from repro.daemon import (
     load_daemon_config,
     parse_flow_budget,
 )
-from repro.stream.flowtable import DEFAULT_MAX_FLOWS
+from repro.analysis.flow import DEFAULT_MAX_FLOWS
 
 
 def _write(tmp_path: Path, payload: dict) -> Path:

@@ -16,7 +16,7 @@ from repro.service.jobs import JobManager, validate_study_request
 def test_defaults_fill_in():
     request = validate_study_request({})
     assert request["datasets"] == ("D0",)
-    assert request["engine"] == "batch"
+    assert "engine" not in request  # one ingest engine: no switch
     assert 0 < request["scale"] <= 0.1
 
 
@@ -33,7 +33,7 @@ def test_unknown_keys_rejected():
         {"datasets": ["D9"]},
         {"datasets": []},
         {"max_windows": 0},
-        {"engine": "quantum"},
+        {"engine": "stream"},     # the engine switch is gone
         {"error_policy": "yolo"},
         "not-an-object",
     ],

@@ -19,7 +19,9 @@ import threading
 import pytest
 
 from repro.analysis.analyzers import DEFAULT_ANALYZERS
+from repro.analysis.engine import DatasetAnalyzer
 from repro.analysis.errors import ErrorPolicy
+from repro.analysis.flow import FlowTable
 from repro.chaos import CHAOS_ENV, FaultKind, FaultPlane, FaultRule
 from repro.chaos.faults import CRASH_EXIT_CODE
 from repro.gen.capture import generate_dataset
@@ -29,8 +31,6 @@ from repro.store import ConnFilter, StoreQuery, StoreScrubber, compact_checkpoin
 from repro.store.query import GROUP_DIMENSIONS
 from repro.store.tier import init_tier, open_store
 from repro.stream.checkpoint import StreamCheckpointer, decode_result_batch
-from repro.stream.engine import StreamConfig, StreamDatasetAnalyzer
-from repro.stream.flowtable import StreamFlowTable
 from repro.stream.source import PacketSource
 
 _THREADS = 8
@@ -120,7 +120,7 @@ def dataset(tmp_path_factory):
 
 
 def _make(dataset, **kwargs):
-    return StreamDatasetAnalyzer(
+    return DatasetAnalyzer(
         "D0",
         full_payload=dataset.config.full_payload,
         internal_net=ENTERPRISE_NET,
@@ -136,20 +136,20 @@ def finished_results(dataset):
     straight off the flow table — exactly what ``flush_batch`` persists
     in a live streaming run."""
     captured: list = []
-    real_finish = StreamFlowTable.finish
+    real_finish = FlowTable.finish
 
     def spying(self):
         results = real_finish(self)
         captured.extend(results)
         return results
 
-    StreamFlowTable.finish = spying
+    FlowTable.finish = spying
     try:
         analyzer = _make(dataset)
         analyzer.process_pcap(dataset.traces[0].path)
         analyzer.finish()
     finally:
-        StreamFlowTable.finish = real_finish
+        FlowTable.finish = real_finish
     assert len(captured) >= 8
     return captured
 
@@ -231,7 +231,7 @@ def test_compaction_skips_live_writers_and_already_compact_chains(
 def test_tiered_crash_resume_equals_uninterrupted(
     dataset, tmp_path, monkeypatch
 ):
-    """The streaming engine's checkpoint/resume parity holds verbatim on
+    """The ingest engine's checkpoint/resume parity holds verbatim on
     a rebalanced multi-root store, with a compaction pass in between."""
     plain = _make(dataset)
     for trace in dataset.traces:
@@ -253,7 +253,7 @@ def test_tiered_crash_resume_equals_uninterrupted(
     monkeypatch.setattr(PacketSource, "__iter__", crashing)
     crashed = _make(
         dataset,
-        config=StreamConfig(checkpoint_every=100),
+        checkpoint_every=100,
         store=store,
         checkpoint_base="ck",
     )
@@ -265,7 +265,7 @@ def test_tiered_crash_resume_equals_uninterrupted(
     compact_checkpoints(store, grace_s=0)  # must not disturb the live state
     resumed = _make(
         dataset,
-        config=StreamConfig(checkpoint_every=100),
+        checkpoint_every=100,
         store=store,
         checkpoint_base="ck",
     )

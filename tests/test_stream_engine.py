@@ -1,11 +1,12 @@
-"""Batch-vs-stream parity at the engine level (repro.stream.engine).
+"""The ingest engine's single pass (repro.analysis.engine).
 
-The contract under test: for the same trace files, the streaming
-analyzer's products — connection records, per-trace statistics, error
-accounts, utilization timelines — are element-wise identical to the
-batch analyzer's, including under the tolerant error policy on
-corrupted traces, and a run interrupted mid-trace resumes from its last
-checkpoint to the exact same products.
+The contracts under test: a trace analyzed from an in-memory packet
+iterable matches the same trace read from disk; checkpointing — and a
+run interrupted mid-trace that resumes from its last checkpoint —
+changes none of the products, including under the tolerant error
+policy on corrupted traces; and the live window aggregates cover every
+packet.  Byte identity of the rendered study is pinned separately
+(``tests/test_study_golden.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.gen.capture import generate_dataset
 from repro.gen.faults import corrupt_dataset
 from repro.gen.topology import ENTERPRISE_NET, Enterprise
 from repro.store.cache import ConnStore
-from repro.stream.engine import StreamConfig, StreamDatasetAnalyzer
 from repro.stream.source import PacketSource
 
 
@@ -38,8 +38,8 @@ def _run(analyzer, traces):
     return analyzer.finish()
 
 
-def _make(cls, traces, policy=ErrorPolicy.STRICT, **kwargs):
-    return cls(
+def _make(traces, policy=ErrorPolicy.STRICT, **kwargs):
+    return DatasetAnalyzer(
         "D0",
         full_payload=traces.config.full_payload,
         internal_net=ENTERPRISE_NET,
@@ -49,12 +49,12 @@ def _make(cls, traces, policy=ErrorPolicy.STRICT, **kwargs):
     )
 
 
-def _assert_same_analysis(batch, stream):
-    assert len(stream.conns) == len(batch.conns)
-    for ours, theirs in zip(stream.conns, batch.conns):
+def _assert_same_analysis(expected, actual):
+    assert len(actual.conns) == len(expected.conns)
+    for ours, theirs in zip(actual.conns, expected.conns):
         assert ours == theirs
-    assert len(stream.traces) == len(batch.traces)
-    for ours, theirs in zip(stream.traces, batch.traces):
+    assert len(actual.traces) == len(expected.traces)
+    for ours, theirs in zip(actual.traces, expected.traces):
         assert ours.packets == theirs.packets
         assert ours.l2_counts == theirs.l2_counts
         assert ours.errors == theirs.errors
@@ -66,37 +66,34 @@ def _assert_same_analysis(batch, stream):
 
 
 class TestParity:
-    def test_identical_products(self, dataset):
-        batch = _run(_make(DatasetAnalyzer, dataset), dataset)
-        stream = _run(_make(StreamDatasetAnalyzer, dataset), dataset)
-        assert len(batch.conns) > 0
-        _assert_same_analysis(batch, stream)
-
     def test_tolerant_policy_parity_on_corrupt_traces(
-        self, dataset, tmp_path_factory
+        self, tmp_path_factory
     ):
         out = tmp_path_factory.mktemp("corrupt")
         corrupt = generate_dataset(
             "D0", Enterprise(seed=7), out, seed=7, scale=0.004, max_windows=3
         )
         corrupt_dataset(corrupt, seed=3)
-        batch = _run(
-            _make(DatasetAnalyzer, corrupt, policy=ErrorPolicy.TOLERANT), corrupt
-        )
-        stream = _run(
-            _make(StreamDatasetAnalyzer, corrupt, policy=ErrorPolicy.TOLERANT),
+        plain = _run(_make(corrupt, policy=ErrorPolicy.TOLERANT), corrupt)
+        checked = _run(
+            _make(
+                corrupt,
+                policy=ErrorPolicy.TOLERANT,
+                checkpoint_every=1000,
+                store=ConnStore(out / "store"),
+            ),
             corrupt,
         )
-        assert sum(sum(t.errors.values()) for t in batch.traces) > 0
-        _assert_same_analysis(batch, stream)
+        assert sum(sum(t.errors.values()) for t in plain.traces) > 0
+        _assert_same_analysis(plain, checked)
 
     def test_in_memory_packets_match_pcap(self, dataset):
         from repro.pcap.reader import read_pcap
 
         trace = dataset.traces[0]
-        via_file = _make(StreamDatasetAnalyzer, dataset)
+        via_file = _make(dataset)
         via_file.process_pcap(trace.path)
-        via_memory = _make(StreamDatasetAnalyzer, dataset)
+        via_memory = _make(dataset)
         via_memory.process_packets(read_pcap(trace.path))
         a, b = via_file.finish(), via_memory.finish()
         assert a.conns == b.conns
@@ -104,9 +101,7 @@ class TestParity:
 
 class TestWindows:
     def test_window_summaries_per_trace(self, dataset):
-        analyzer = _make(
-            StreamDatasetAnalyzer, dataset, config=StreamConfig(window=30.0)
-        )
+        analyzer = _make(dataset, window=30.0)
         _run(analyzer, dataset)
         assert len(analyzer.window_summaries) == len(dataset.traces)
         for summary in analyzer.window_summaries:
@@ -116,12 +111,7 @@ class TestWindows:
 
     def test_window_observer_covers_every_packet(self, dataset):
         seen = []
-        analyzer = _make(
-            StreamDatasetAnalyzer,
-            dataset,
-            config=StreamConfig(window=30.0),
-            window_observer=seen.append,
-        )
+        analyzer = _make(dataset, window=30.0, window_observer=seen.append)
         stats = analyzer.process_pcap(dataset.traces[0].path)
         assert seen
         assert [w.index for w in seen] == sorted(w.index for w in seen)
@@ -133,15 +123,9 @@ class TestWindows:
 class TestCheckpointResume:
     def test_checkpointed_run_matches_plain(self, dataset, tmp_path):
         store = ConnStore(tmp_path / "store")
-        plain = _run(_make(StreamDatasetAnalyzer, dataset), dataset)
+        plain = _run(_make(dataset), dataset)
         checked = _run(
-            _make(
-                StreamDatasetAnalyzer,
-                dataset,
-                config=StreamConfig(checkpoint_every=200),
-                store=store,
-                checkpoint_base="ck",
-            ),
+            _make(dataset, checkpoint_every=200, store=store, checkpoint_base="ck"),
             dataset,
         )
         _assert_same_analysis(plain, checked)
@@ -152,7 +136,7 @@ class TestCheckpointResume:
         self, dataset, tmp_path, monkeypatch
     ):
         store = ConnStore(tmp_path / "store")
-        plain = _run(_make(StreamDatasetAnalyzer, dataset), dataset)
+        plain = _run(_make(dataset), dataset)
 
         real_iter = PacketSource.__iter__
         budget = {"left": 350}
@@ -166,11 +150,7 @@ class TestCheckpointResume:
 
         monkeypatch.setattr(PacketSource, "__iter__", crashing)
         crashed = _make(
-            StreamDatasetAnalyzer,
-            dataset,
-            config=StreamConfig(checkpoint_every=100),
-            store=store,
-            checkpoint_base="ck",
+            dataset, checkpoint_every=100, store=store, checkpoint_base="ck"
         )
         with pytest.raises(RuntimeError):
             for trace in dataset.traces:
@@ -179,13 +159,7 @@ class TestCheckpointResume:
         # The crash left a live checkpoint behind.
         assert list(store.checkpoints())
         resumed = _run(
-            _make(
-                StreamDatasetAnalyzer,
-                dataset,
-                config=StreamConfig(checkpoint_every=100),
-                store=store,
-                checkpoint_base="ck",
-            ),
+            _make(dataset, checkpoint_every=100, store=store, checkpoint_base="ck"),
             dataset,
         )
         _assert_same_analysis(plain, resumed)

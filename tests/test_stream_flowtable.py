@@ -1,10 +1,11 @@
-"""Tests for the bounded streaming flow table (repro.stream.flowtable).
+"""Tests for the bounded flow table (repro.analysis.flow).
 
-The load-bearing property is *ordering parity*: whatever the eviction
-knobs do mid-trace, the sorted result sequence must equal the batch
-:class:`~repro.analysis.flow.FlowTable` flush for the same packets —
-except where a turned-down knob genuinely splits a connection, which
-must be counted as ``early_eviction`` rather than silently diverging.
+The load-bearing property is the *batch order*: whatever the eviction
+knobs do mid-trace, the sorted results come out as documented — UDP/ICMP
+flows finished by the 60 s gap rule in occurrence order, then TCP, UDP
+and ICMP flows in creation order — except where a turned-down knob
+genuinely splits a connection, which must be counted as
+``early_eviction`` rather than silently diverging.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ import random
 
 import pytest
 
-from repro.analysis.flow import FlowTable
+from repro.analysis.flow import (
+    PHASE_OCCURRENCE,
+    PHASE_TCP,
+    PHASE_UDP,
+    FlowTable,
+)
+from repro.analysis.conn import ConnState
 from repro.gen.packetize import realize_session
 from repro.gen.session import AppEvent, Dir, TcpSession
 from repro.net.icmp import ICMP_ECHO_REQUEST
 from repro.net.packet import decode_packet, make_icmp_packet, make_udp_packet
-from repro.stream.flowtable import (
-    PHASE_OCCURRENCE,
-    PHASE_TCP,
-    PHASE_UDP,
-    StreamFlowTable,
-)
 
 _A, _B, _C, _D = 0x0A000001, 0x0A000002, 0x0A000003, 0x0A000004
 
@@ -50,34 +51,37 @@ def _tcp_session_packets(start=0.0, sport=44000, dport=80, **kwargs):
     return [decode_packet(p) for p in realize_session(TcpSession(**base), random.Random(4))]
 
 
-def _batch_records(packets):
-    table = FlowTable(collect_payload=True)
+def _records(packets, **knobs):
+    """Every record of ``packets`` in dispatch order, and the table."""
+    table = FlowTable(collect_payload=True, **knobs)
     for pkt in packets:
         table.process(pkt)
-    return [result.record for result in table.flush()]
+    return [result.record for result in table.flush()], table
 
 
-def _stream_records(packets, **knobs):
-    table = StreamFlowTable(collect_payload=True, **knobs)
-    for pkt in packets:
-        table.process(pkt)
-    pending = table.finish()
-    pending.sort(key=lambda item: item.sort_key(table.promotions))
-    return [item.result.record for item in pending], table
+def _order(records):
+    return [(record.proto, record.first_ts) for record in records]
 
 
 class TestBatchParity:
     def test_tcp_session_identical_records(self):
         packets = _tcp_session_packets()
-        records, table = _stream_records(packets)
-        assert records == _batch_records(packets)
+        records, table = _records(packets)
+        assert len(records) == 1
+        record = records[0]
+        assert (record.orig_ip, record.orig_port) == (_A, 44000)
+        assert (record.resp_ip, record.resp_port) == (_B, 80)
+        assert record.state is ConnState.SF
+        assert record.total_pkts == len(packets)
         assert table.early_eviction == 0
         assert table.flow_overflow == 0
 
     def test_udp_gap_eviction_matches_batch_order(self):
         # Two same-key UDP bursts 120s apart wrapped in other traffic:
-        # the batch table evicts the first burst lazily at the second's
-        # arrival (occurrence order), which must survive streaming.
+        # the gap rule finishes the first burst at the second's arrival
+        # (occurrence order), ahead of every end-of-trace flow.  The
+        # t=120.5 sweep evicts the idle C->D flow early; its key's next
+        # packet (past the gap) promotes it into the occurrence phase.
         packets = [
             _udp(0.0),
             _udp(1.0, src=_C, dst=_D, sport=41000),
@@ -85,8 +89,12 @@ class TestBatchParity:
             _udp(120.5),  # same key as t=0.0, gap > 60s
             _udp(121.0, src=_C, dst=_D, sport=41000),
         ]
-        records, table = _stream_records(packets)
-        assert records == _batch_records(packets)
+        records, table = _records(packets)
+        assert _order(records) == [
+            ("udp", 0.0), ("udp", 1.0),       # phase 0, occurrence order
+            ("udp", 120.5), ("udp", 121.0),   # UDP, creation order
+            ("icmp", 2.0),                    # ICMP
+        ]
         assert table.early_eviction == 0
 
     def test_mixed_protocol_phase_order(self):
@@ -96,16 +104,17 @@ class TestBatchParity:
             _icmp(1.0),
             _udp(1.5, src=_C, sport=41000),
         ]
-        records, _ = _stream_records(packets)
-        assert records == _batch_records(packets)
+        records, _ = _records(packets)
         # End-of-trace phases: TCP first, then UDP, then ICMP.
-        assert [r.proto for r in records] == ["tcp", "udp", "udp", "icmp"]
+        assert _order(records) == [
+            ("tcp", 0.5), ("udp", 0.0), ("udp", 1.5), ("icmp", 1.0)
+        ]
 
 
 class TestTimeouts:
     def test_idle_timeout_evicts_tcp(self):
         packets = _tcp_session_packets()
-        table = StreamFlowTable(idle_timeout=10.0)
+        table = FlowTable(idle_timeout=10.0)
         for pkt in packets:
             table.process(pkt)
         assert table.live_flows == 1
@@ -119,7 +128,7 @@ class TestTimeouts:
         # Flow 1 stays active (hard timeout fires); flow 2 goes idle
         # first.  Idle sweeps run before the hard-timeout sweep, so the
         # idle victim must be emitted first even though flow 1 is older.
-        table = StreamFlowTable(idle_timeout=20.0, hard_timeout=50.0)
+        table = FlowTable(idle_timeout=20.0, hard_timeout=50.0)
         table.process(_udp(0.0))  # flow 1 (udp key A->B)
         t = 0.0
         table.process(_tcp_session_packets(start=1.0)[0])  # flow 2, then idle
@@ -133,8 +142,25 @@ class TestTimeouts:
         phases = [p.phase for p in table._pending]
         assert phases == [PHASE_TCP, PHASE_UDP]
 
+    def test_regressed_timestamp_keeps_the_sweep_exact(self):
+        # A packet running backwards leaves a flow with an older last_ts
+        # behind the recency front.  Once the front moves on, that flow
+        # is the one the sweep must evict — at the very next packet,
+        # even though every deadline seen before the regression lies
+        # later.
+        table = FlowTable()
+        table.process(_udp(0.0))                          # P
+        table.process(_udp(10.0, src=_C, sport=41000))    # Q
+        table.process(_udp(3.0))                          # P, regressed
+        table.process(_udp(62.0, src=_D, sport=42000))    # R; sweep stops at Q
+        assert table.pending_results == 0
+        table.process(_udp(66.0, src=_C, sport=41000))    # Q moves behind P
+        evicted = [p.result.record for p in table._pending]
+        assert [(r.orig_ip, r.last_ts) for r in evicted] == [(_A, 3.0)]
+        assert table.live_flows == 2
+
     def test_hard_timeout_sweeps_in_creation_order(self):
-        table = StreamFlowTable(hard_timeout=30.0)
+        table = FlowTable(hard_timeout=30.0)
         table.process(_udp(0.0))
         table.process(_udp(15.0, src=_C, sport=41000))
         # Keep both active so only the hard timeout can fire.
@@ -149,7 +175,7 @@ class TestTimeouts:
 
 class TestOverflow:
     def test_overflow_evicts_lru_and_counts(self):
-        table = StreamFlowTable(max_flows=2)
+        table = FlowTable(max_flows=2)
         table.process(_udp(0.0))
         table.process(_udp(1.0, src=_C, sport=41000))
         table.process(_udp(2.0))  # touch flow 1: flow 2 becomes LRU
@@ -161,30 +187,30 @@ class TestOverflow:
 
     def test_overflow_records_all_conserved(self):
         packets = [_udp(float(i), src=_A + i, sport=40000 + i) for i in range(6)]
-        records, table = _stream_records(packets, max_flows=2)
+        records, table = _records(packets, max_flows=2)
         assert len(records) == 6
         assert table.flow_overflow == 4
 
     def test_max_flows_must_be_positive(self):
         with pytest.raises(ValueError):
-            StreamFlowTable(max_flows=0)
+            FlowTable(max_flows=0)
 
 
 class TestTombstones:
     def test_promotion_restores_batch_order(self):
         # Capacity forces flow A out early; a same-key packet past the
-        # batch gap threshold proves batch would have evicted it at that
-        # instant, so A's result is promoted into the occurrence phase
-        # and the final ordering matches batch exactly.
+        # gap threshold proves the gap rule would have finished it at
+        # that instant, so A's result is promoted into the occurrence
+        # phase, ahead of B and A's successor (UDP creation order).
         packets = [
             _udp(0.0),                      # flow A
             _udp(1.0, src=_C, sport=41000),  # flow B evicts A (capacity)
             _udp(120.0),                     # same key as A, gap > 60s
         ]
-        records, table = _stream_records(packets, max_flows=1)
+        records, table = _records(packets, max_flows=1)
         assert table.early_eviction == 0
         assert table.promotions  # A was promoted, not split
-        assert records == _batch_records(packets)
+        assert _order(records) == [("udp", 0.0), ("udp", 1.0), ("udp", 120.0)]
 
     def test_split_within_gap_counts_early_eviction(self):
         packets = [
@@ -192,15 +218,16 @@ class TestTombstones:
             _udp(1.0, src=_C, sport=41000),  # evicts A (capacity)
             _udp(30.0),                      # same key, inside the gap
         ]
-        records, table = _stream_records(packets, max_flows=1)
+        records, table = _records(packets, max_flows=1)
         assert table.early_eviction == 1
-        # The connection was genuinely split: one extra record vs batch.
-        assert len(records) == len(_batch_records(packets)) + 1
+        # The connection was genuinely split: A's 0.0 and 30.0 packets
+        # land in two records instead of one.
+        assert _order(records) == [("udp", 0.0), ("udp", 1.0), ("udp", 30.0)]
 
     def test_tcp_reuse_after_eviction_is_always_a_split(self):
         first = _tcp_session_packets()
         again = _tcp_session_packets(start=200.0)
-        table = StreamFlowTable(idle_timeout=50.0)
+        table = FlowTable(idle_timeout=50.0)
         for pkt in first:
             table.process(pkt)
         table.process(_udp(first[-1].ts + 60.0, src=_C, sport=41000))  # sweep
@@ -211,7 +238,7 @@ class TestTombstones:
 
 class TestDrain:
     def test_drain_withholds_tombstone_watched_results(self):
-        table = StreamFlowTable(max_flows=1)
+        table = FlowTable(max_flows=1)
         table.process(_udp(0.0))
         table.process(_udp(1.0, src=_C, sport=41000))  # evicts flow A
         # A's sort key may still be promoted: not safe to flush.
@@ -225,7 +252,7 @@ class TestDrain:
         assert table.pending_results == 1
 
     def test_drain_releases_gap_evictions_immediately(self):
-        table = StreamFlowTable()
+        table = FlowTable()
         table.process(_udp(0.0))
         table.process(_udp(120.0))  # lazy gap eviction, phase 0
         drained = table.drain()

@@ -1,10 +1,10 @@
-"""Bounded-memory guarantees of the streaming path (tracemalloc).
+"""Bounded-memory guarantees of the single-pass ingest (tracemalloc).
 
-The whole point of :mod:`repro.stream` is that peak memory follows the
-live-flow population, not the trace size.  These tests pin that down
-with ``tracemalloc``: the iterator form of :func:`read_pcap` and the
-streaming engine must both peak far below the materialized trace, on a
-trace big enough that the gap cannot be noise.
+The ingest engine's peak memory follows the live-flow population, not
+the trace size.  These tests pin that down with ``tracemalloc``: the
+iterator form of :func:`read_pcap` and the engine must both peak far
+below the materialized trace, on a trace big enough that the gap cannot
+be noise.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.engine import DatasetAnalyzer
 from repro.net.packet import make_udp_packet
 from repro.pcap.reader import read_pcap
 from repro.pcap.writer import PcapWriter
-from repro.stream.engine import StreamDatasetAnalyzer
 from repro.stream.source import PacketSource
 
 _PAYLOAD = b"m" * 400
@@ -92,7 +92,7 @@ class TestStreamEngineMemory:
         path, size = big_trace
 
         def analyze():
-            analyzer = StreamDatasetAnalyzer("MEM", full_payload=True)
+            analyzer = DatasetAnalyzer("MEM", full_payload=True)
             analyzer.process_pcap(path)
             analyzer.finish()
 

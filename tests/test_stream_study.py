@@ -1,11 +1,11 @@
-"""The streaming engine wired through the study pipeline and the CLI.
+"""The ingest knobs wired through the study pipeline and the CLI.
 
-The acceptance bar: ``engine="stream"`` renders byte-identical tables
-and figures to the batch engine at every worker count; parity-default
-streaming runs share the batch engine's cache entries while turned-down
-eviction knobs fork the key; bounded-table degradation surfaces as
-typed data-quality rows instead of errors; and the ``stream``
-subcommand exposes all of it with live window narration on stderr.
+The acceptance bar: checkpointing leaves the rendered study byte for
+byte unchanged; turned-down eviction knobs fork the cache key;
+bounded-table degradation surfaces as typed data-quality rows instead
+of errors; the removed engine switch fails loudly instead of being
+ignored; and the ``stream`` subcommand exposes all of it with live
+window narration on stderr.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import hashlib
 
 import pytest
 
+from repro.analysis.engine import StreamConfig
 from repro.core.cli import main
-from repro.core.study import run_study
+from repro.core.study import analyze_dataset, run_study
 from repro.store.cache import ConnStore
-from repro.stream.engine import StreamConfig
 
 _PARAMS = dict(seed=7, scale=0.004, datasets=("D0", "D1"), max_windows=2)
 _TABLES = (1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
@@ -35,49 +35,36 @@ def _study_digest(results) -> str:
 
 
 @pytest.fixture(scope="module")
-def batch_digest():
+def plain_digest():
     return _study_digest(run_study(**_PARAMS))
 
 
 class TestDigestParity:
-    def test_stream_matches_batch_at_jobs_1_2_4(self, batch_digest):
-        for jobs in (1, 2, 4):
-            streamed = run_study(engine="stream", jobs=jobs, **_PARAMS)
-            assert _study_digest(streamed) == batch_digest, f"jobs={jobs}"
-
-    def test_checkpointed_stream_matches_batch(self, batch_digest, tmp_path):
-        streamed = run_study(
-            engine="stream",
+    def test_checkpointed_run_matches_plain(self, plain_digest, tmp_path):
+        checkpointed = run_study(
             stream=StreamConfig(checkpoint_every=300),
             store_dir=str(tmp_path),
             **_PARAMS,
         )
-        assert _study_digest(streamed) == batch_digest
+        assert _study_digest(checkpointed) == plain_digest
         # Completed traces retire their checkpoint manifests.
         assert list(ConnStore(tmp_path).checkpoints()) == []
 
     def test_unknown_engine_rejected(self):
+        # The benchmark's ``engine="stream"`` is the only engine name
+        # analyze_dataset still takes; run_study has no switch at all.
         with pytest.raises(ValueError, match="unknown engine"):
-            run_study(engine="turbo", **_PARAMS)
+            analyze_dataset("D0", None, engine="batch")
+        with pytest.raises(TypeError):
+            run_study(engine="stream", **_PARAMS)
 
 
 class TestCacheSharing:
-    def test_parity_stream_run_feeds_batch_cache(self, batch_digest, tmp_path):
-        run_study(engine="stream", store_dir=str(tmp_path), **_PARAMS)
-        store = ConnStore(tmp_path)
-        manifests_after_stream = len(list(store.manifests()))
-        warm = run_study(store_dir=str(tmp_path), **_PARAMS)  # batch
-        assert _study_digest(warm) == batch_digest
-        # The batch run was served from the stream run's shards: no new
-        # manifests were written.
-        assert len(list(store.manifests())) == manifests_after_stream
-
     def test_non_parity_knobs_fork_the_cache_key(self, tmp_path):
-        run_study(engine="stream", store_dir=str(tmp_path), **_PARAMS)
+        run_study(store_dir=str(tmp_path), **_PARAMS)
         store = ConnStore(tmp_path)
         before = len(list(store.manifests()))
         run_study(
-            engine="stream",
             stream=StreamConfig(max_flows=4),
             store_dir=str(tmp_path),
             **_PARAMS,
@@ -87,9 +74,7 @@ class TestCacheSharing:
 
 class TestDegradation:
     def test_tiny_flow_table_degrades_to_quality_rows(self):
-        results = run_study(
-            engine="stream", stream=StreamConfig(max_flows=4), **_PARAMS
-        )
+        results = run_study(stream=StreamConfig(max_flows=4), **_PARAMS)
         totals = {
             name: analysis.error_totals()
             for name, analysis in results.analyses.items()
@@ -103,7 +88,6 @@ class TestDegradation:
         # error_policy defaults to strict in _PARAMS-style runs: the
         # overflow counters must not consume the error budget.
         results = run_study(
-            engine="stream",
             stream=StreamConfig(max_flows=2),
             error_policy="strict",
             **_PARAMS,
@@ -128,7 +112,7 @@ class TestStreamCli:
         assert code == 0
         assert "Table 2" in captured.out
 
-    def test_stream_subcommand_matches_batch_stdout(self, capsys):
+    def test_stream_subcommand_matches_main_stdout(self, capsys):
         flags = [
             "--seed", "7", "--scale", "0.004",
             "--datasets", "D0",
@@ -137,10 +121,10 @@ class TestStreamCli:
             "--figures", "2",
         ]
         main(flags)
-        batch_out = capsys.readouterr().out
+        main_out = capsys.readouterr().out
         main(["stream", *flags])
         stream_out = capsys.readouterr().out
-        assert stream_out == batch_out
+        assert stream_out == main_out
 
     def test_progress_narrates_windows_on_stderr(self, capsys):
         code = main(
@@ -161,18 +145,12 @@ class TestStreamCli:
         assert "[stream]" not in captured.out
 
     def test_engine_flag_on_main_command(self, capsys):
-        code = main(
-            [
-                "--engine", "stream",
-                "--seed", "7", "--scale", "0.004",
-                "--datasets", "D0",
-                "--max-windows", "1",
-                "--tables", "2",
-                "--figures",
-            ]
-        )
-        assert code == 0
-        assert "Table 2" in capsys.readouterr().out
+        # The switch is gone: an old invocation naming it must fail
+        # loudly, not silently run something else.
+        with pytest.raises(SystemExit) as info:
+            main(["--engine", "stream", "--seed", "7", "--tables", "2"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_checkpoint_flags_reach_the_engine(self, tmp_path, capsys):
         code = main(
