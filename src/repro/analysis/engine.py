@@ -362,7 +362,11 @@ class DatasetAnalyzer:
             for analyzer in self.analyzers
         }
         self.config = StreamConfig(
-            window, max_flows, idle_timeout, hard_timeout, checkpoint_every
+            window=window,
+            max_flows=max_flows,
+            idle_timeout=idle_timeout,
+            hard_timeout=hard_timeout,
+            checkpoint_every=checkpoint_every,
         )
         self.store = store
         self.checkpoint_base = checkpoint_base or name
