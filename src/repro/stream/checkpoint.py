@@ -49,6 +49,7 @@ from ..store.shard import (
 )
 
 __all__ = [
+    "CHECKPOINT_FORMAT",
     "StreamCheckpointer",
     "encode_result_batch",
     "decode_result_batch",
@@ -60,6 +61,12 @@ __all__ = [
 
 #: Prefix distinguishing checkpoint manifests from analysis manifests.
 _MANIFEST_PREFIX = "ckpt-"
+
+#: Format of the engine-state object, stamped into every checkpoint.
+#: Bump it whenever the state's fields change: a checkpoint of any
+#: other format is retired and its trace re-read from the start.  Kept
+#: apart from ``SCHEMA_VERSION``, which feeds every cache key.
+CHECKPOINT_FORMAT = 1
 
 
 # -- TCP state serialization -------------------------------------------------
@@ -400,6 +407,7 @@ class StreamCheckpointer:
         pointing at missing bytes.
         """
         state = dict(state)
+        state["format"] = CHECKPOINT_FORMAT
         state["batches"] = list(self.batch_digests)
         digest = self.store.put_object(encode_state(state))
         self.store.manifests_dir.mkdir(parents=True, exist_ok=True)
@@ -416,7 +424,13 @@ class StreamCheckpointer:
 
     @classmethod
     def load(cls, store: ConnStore, key: str) -> "tuple[StreamCheckpointer, dict] | None":
-        """Open an existing checkpoint, or None when none was published."""
+        """Open an existing checkpoint, or None when there is none to resume.
+
+        A checkpoint whose state carries no format number, or one this
+        version does not know (written by an older or newer engine), is
+        retired: the caller then ingests the trace from offset 0, which
+        gives the same result a resume would have.
+        """
         checkpointer = cls(store, key)
         manifest = store.lookup(checkpointer.manifest_key)
         if manifest is None or manifest.get("kind") != "checkpoint":
@@ -425,6 +439,9 @@ class StreamCheckpointer:
             store.get_object(manifest["state"]),
             str(store._object_path(manifest["state"])),
         )
+        if state.get("format") != CHECKPOINT_FORMAT:
+            checkpointer.clear()
+            return None
         checkpointer.batch_digests = list(state.get("batches", []))
         return checkpointer, state
 

@@ -164,3 +164,54 @@ class TestCheckpointResume:
         )
         _assert_same_analysis(plain, resumed)
         assert list(store.checkpoints()) == []
+
+    def test_checkpoint_without_a_format_is_retired_and_reread(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        """A checkpoint from before the format stamp (its state has no
+        ``format`` and no aggregator ``base``) must not crash the resume:
+        it is retired and the trace is ingested from offset 0."""
+        import json
+
+        from repro.store.cache import shard_analysis
+        from repro.stream.checkpoint import decode_state, encode_state
+
+        store = ConnStore(tmp_path / "store")
+        plain = _run(_make(dataset), dataset)
+
+        real_iter = PacketSource.__iter__
+        budget = {"left": 150}
+
+        def crashing(self):
+            for pkt in real_iter(self):
+                budget["left"] -= 1
+                if budget["left"] < 0:
+                    raise RuntimeError("simulated crash")
+                yield pkt
+
+        monkeypatch.setattr(PacketSource, "__iter__", crashing)
+        crashed = _make(
+            dataset, checkpoint_every=100, store=store, checkpoint_base="ck"
+        )
+        with pytest.raises(RuntimeError):
+            crashed.process_pcap(dataset.traces[0].path)
+        monkeypatch.setattr(PacketSource, "__iter__", real_iter)
+
+        (path,) = sorted(store.manifests_dir.glob("ckpt-*.json"))
+        manifest = json.loads(path.read_text())
+        state = decode_state(store.get_object(manifest["state"]))
+        state.pop("format", None)
+        del state["aggregator"]["base"]
+        manifest["state"] = store.put_object(encode_state(state))
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+
+        resumed = _run(
+            _make(dataset, checkpoint_every=100, store=store, checkpoint_base="ck"),
+            dataset,
+        )
+        _assert_same_analysis(plain, resumed)
+        digests = ["0" * 64] * len(dataset.traces)
+        assert shard_analysis(resumed, dataset, digests) == shard_analysis(
+            plain, dataset, digests
+        )
+        assert list(store.checkpoints()) == []
