@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint verify bench pipeline-bench bench-test store-bench runtime-bench stream-bench service-bench tier-bench replica-bench chaos-soak daemon-soak examples outputs clean
+.PHONY: install test lint verify claims bench pipeline-bench bench-test store-bench runtime-bench stream-bench service-bench tier-bench replica-bench chaos-soak daemon-soak examples outputs clean
 
 install:
 	pip install -e .
@@ -21,6 +21,15 @@ lint:
 # The tier-1 gate: the full suite, failing fast.
 verify:
 	PYTHONPATH=src python -m pytest -x -q
+
+# The seed-7 paper-claim checks: every shape the reproduction asserts
+# against the paper, on the five-dataset study (about a minute).
+CLAIMS = test_http test_netfile test_tables_broad test_email_nameservices \
+	test_windows test_backup_load test_scanfilter_origins test_ablations
+
+claims:
+	PYTHONPATH=src python -m pytest -q --benchmark-disable \
+		$(addprefix benchmarks/,$(addsuffix .py,$(CLAIMS)))
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -13,9 +13,10 @@ import json
 import shutil
 import time
 
+from repro.store import ConnStore
 from repro.store.scrub import StoreScrubber
 from repro.store.shard import encode_shard
-from repro.store.tier import init_tier, open_store
+from repro.store.tier import init_tier
 
 #: Degraded reads may cost more (breaker warm-up, fallback probes) but
 #: not catastrophically more than healthy cold reads.
@@ -69,7 +70,7 @@ def test_replica_bench(tmp_path, output_dir, emit):
     # Kill the same root again, and this time rebuild it with the bulk
     # path (``store repair --replicas``) instead of read-by-read.
     shutil.rmtree(victim)
-    fresh = open_store(tmp_path / "store")  # fresh breakers: disk is back
+    fresh = ConnStore(tmp_path / "store")  # fresh breakers: disk is back
     t0 = time.perf_counter()
     report = fresh.repair_replicas()
     repair_s = time.perf_counter() - t0

@@ -351,8 +351,7 @@ def _build_store_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replica repair instead: drain the under-replicated queue "
         "and sweep the store, restoring every object and manifest to "
-        "its full replica set from digest-verified copies (tiered "
-        "stores only)",
+        "its full replica set from digest-verified copies",
     )
 
     from ..store.query import GROUP_DIMENSIONS
@@ -394,18 +393,15 @@ def _build_store_parser() -> argparse.ArgumentParser:
 
 def _store_main(argv: list[str]) -> int:
     """The ``repro-study store`` subcommand family."""
-    from ..store import ConnFilter, StoreQuery
-    from ..store.tier import open_store
+    from ..store import ConnFilter, ConnStore, StoreQuery, StoreScrubber
 
     args = _build_store_parser().parse_args(argv)
     if args.command == "tier":
         return _store_tier_main(args)
-    store = open_store(args.store_dir)
+    store = ConnStore(args.store_dir)
     if args.command == "scrub":
+        scrubber = StoreScrubber(store)
         if args.incremental:
-            from ..store.tier import IncrementalScrubber
-
-            scrubber = IncrementalScrubber(store)
             if args.reset_cursor:
                 scrubber.reset()
             cursor = scrubber.run(
@@ -426,29 +422,16 @@ def _store_main(argv: list[str]) -> int:
                 return 0
             print(report.render())
             return 0 if report.ok else 1
-        from ..store.scrub import StoreScrubber
-
-        report = StoreScrubber(store).scrub(
+        report = scrubber.scrub(
             quarantine=not args.audit_only, tmp_grace_s=args.tmp_grace
         )
         print(report.render())
         return 0 if report.ok else 1
     if args.command == "repair" and args.replicas:
-        from ..store.tier import TieredStore
-
-        if not isinstance(store, TieredStore):
-            print(
-                f"error: {args.store_dir} is not a tiered store — "
-                "`repair --replicas` needs one (run `store tier init`)",
-                file=sys.stderr,
-            )
-            return 2
         report = store.repair_replicas()
         print(report.render())
         return 0 if report.ok else 1
     if args.command == "repair":
-        from ..store.scrub import StoreScrubber
-
         outcomes = StoreScrubber(store).repair(traces_dir=args.traces_dir)
         if not outcomes:
             print("nothing to repair")
@@ -514,13 +497,8 @@ def _store_main(argv: list[str]) -> int:
 
 def _store_tier_main(args) -> int:
     """The ``repro-study store tier`` subcommand family."""
-    from ..store.tier import (
-        DEFAULT_HOT_BYTES,
-        TieredStore,
-        compact_checkpoints,
-        init_tier,
-        open_store,
-    )
+    from ..store import ConnStore
+    from ..store.tier import DEFAULT_HOT_BYTES, compact_checkpoints, init_tier
 
     if args.tier_command == "init":
         try:
@@ -550,10 +528,8 @@ def _store_tier_main(args) -> int:
         )
         return 0
 
-    store = open_store(args.store_dir)
+    store = ConnStore(args.store_dir)
     if args.tier_command == "compact":
-        # Compaction works on flat stores too — it only touches
-        # checkpoint manifests and their objects.
         report = compact_checkpoints(
             store,
             min_batches=args.min_batches,
@@ -562,13 +538,6 @@ def _store_tier_main(args) -> int:
         )
         print(report.render())
         return 0
-    if not isinstance(store, TieredStore):
-        print(
-            f"error: {args.store_dir} is not a tiered store "
-            "(run `store tier init` first)",
-            file=sys.stderr,
-        )
-        return 2
     if args.tier_command == "rebalance":
         for spec in args.add_root or ():
             try:

@@ -41,7 +41,6 @@ from ..runtime.task import Task, TaskGraph
 from ..runtime.telemetry import TelemetryLog
 from ..store.cache import ConnStore, assemble_analysis, shard_analysis
 from ..store.shard import decode_dataset_shard, decode_trace_shard
-from ..store.tier import open_store
 from ..util.fmt import fmt_duration
 
 __all__ = ["StudyConfig", "StudyResults", "run_study", "analyze_dataset"]
@@ -380,7 +379,7 @@ def _dataset_unit_worker(spec: Mapping) -> dict:
     stream = StreamConfig(**spec["stream"])
     enterprise = Enterprise(seed=seed)
     known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
-    store = open_store(spec["store_dir"]) if spec["store_dir"] else None
+    store = ConnStore(spec["store_dir"]) if spec["store_dir"] else None
     gen_key = None
     if store is not None:
         gen_key = store.generation_key(
@@ -556,7 +555,7 @@ def _run_study_sequential(
     """Today's in-process path: one dataset after another, no workers."""
     config = results.config
     started = time.monotonic()
-    store = open_store(config.store_dir) if config.store_dir else None
+    store = ConnStore(config.store_dir) if config.store_dir else None
     enterprise = results.enterprise
     known_scanners = tuple(
         host.ip for host in enterprise.servers(Role.SCANNER)
@@ -672,7 +671,7 @@ def _run_study_parallel(
         _dataset_unit_worker, jobs=jobs, retry=retry, telemetry=telemetry
     )
     unit_results = scheduler.run(graph)
-    store = open_store(config.store_dir) if config.store_dir else None
+    store = ConnStore(config.store_dir) if config.store_dir else None
     enterprise = results.enterprise
     known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
     for name in config.datasets:

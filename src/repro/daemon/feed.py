@@ -40,8 +40,7 @@ from ..analysis.errors import IngestionError, TraceQuarantined
 from ..chaos import fsio
 from ..pcap.reader import PcapReader
 from ..runtime.scheduler import start_heartbeat, stop_heartbeat
-from ..store.cache import DAEMON_DIR
-from ..store.tier import open_store
+from ..store.cache import DAEMON_DIR, ConnStore
 from ..analysis.engine import DatasetAnalyzer, StreamConfig, StreamDrained
 from ..stream.source import PacketSource
 
@@ -158,7 +157,7 @@ def run_feed(payload: dict, drain: threading.Event, send) -> str:
     perturbing any existing index.
     """
     tenant = payload["tenant"]
-    store = open_store(payload["store_root"])
+    store = ConnStore(payload["store_root"])
     base = tenant_dir(payload["store_root"], tenant)
     config = StreamConfig(
         window=payload["window"],

@@ -44,8 +44,7 @@ from ..report import tables as table_builders
 from ..report.findings import table5 as findings_table5
 from ..report.model import Table
 from ..runtime.telemetry import TelemetryLog, read_events
-from ..store.cache import DAEMON_DIR
-from ..store.tier import open_store
+from ..store.cache import DAEMON_DIR, ConnStore
 from ..store.query import (
     ConnFilter,
     GROUP_DIMENSIONS,
@@ -188,7 +187,7 @@ class ReproService:
         job_runner=None,
         telemetry: TelemetryLog | None = None,
     ) -> None:
-        self.store = open_store(store_dir)
+        self.store = ConnStore(store_dir)
         self.host = host
         self.port = port
         self.cache = ResponseCache(cache_entries)

@@ -7,11 +7,14 @@ shards without touching a single pcap record.
 
 * :mod:`repro.store.codec` — deterministic pickle-free value encoding.
 * :mod:`repro.store.shard` — the columnar, CRC-checked shard format.
-* :mod:`repro.store.cache` — the content-addressed object store.
+* :mod:`repro.store.cache` — :class:`ConnStore`, the one store class:
+  content-addressed objects placed over one or more roots, replicas,
+  read-repair, and the hot tier.
 * :mod:`repro.store.query` — filtered scans and table aggregations.
-* :mod:`repro.store.scrub` — offline integrity walks, quarantine, repair.
-* :mod:`repro.store.tier` — multi-root placement, hot tier, compaction,
-  incremental scrub.
+* :mod:`repro.store.scrub` — the integrity walk (resumable in bounded
+  steps, or run to the end in one sitting), quarantine, repair.
+* :mod:`repro.store.tier` — the placement manifest, root health, hot
+  cache, and checkpoint compaction the store is built from.
 """
 
 from .cache import DEFAULT_TMP_GRACE, CachedDataset, ConnStore, GcReport
@@ -22,13 +25,10 @@ from .shard import ShardError
 from .tier import (
     CompactionReport,
     HotTier,
-    IncrementalScrubber,
     PlacementManifest,
     RebalanceReport,
-    TieredStore,
     compact_checkpoints,
     init_tier,
-    open_store,
 )
 
 __all__ = [
@@ -44,13 +44,10 @@ __all__ = [
     "ScrubFinding",
     "RepairOutcome",
     "SCHEMA_VERSION",
-    "TieredStore",
     "PlacementManifest",
     "HotTier",
     "RebalanceReport",
     "CompactionReport",
-    "IncrementalScrubber",
     "compact_checkpoints",
     "init_tier",
-    "open_store",
 ]

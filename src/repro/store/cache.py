@@ -7,6 +7,16 @@ Layout on disk::
                                     # their own bytes (content-addressed)
       manifests/<key>.json          # content key -> dataset manifest
       manifests/<gen-key>.json      # generation key -> {"ref": content key}
+      tier.json                     # placement, only when not the default
+
+A store's objects may span several roots (see :mod:`repro.store.tier`):
+``tier.json`` routes each shard by the first hex character of its
+digest, keeps R copies on distinct roots, and mirrors every manifest.
+A root without ``tier.json`` is the default placement — one root,
+``replicas=1`` — held in memory and never written, so such a store's
+files are exactly the layout above.  Manifests, the daemon tree and the
+placement itself always stay at the primary root, so content keys and
+the service's store-state token never depend on placement.
 
 The *content key* hashes everything that determines an analysis: the
 schema version, the analyzer set, the error policy, the internal net,
@@ -23,7 +33,7 @@ trusted.
 
 Shards are verified twice on every load — their name must equal the
 SHA-256 of their bytes, and their CRC footer must check out — and every
-defect surfaces as a :class:`~repro.store.shard.ShardError` carrying the
+defect (a read I/O error included) surfaces as a :class:`~repro.store.shard.ShardError` carrying the
 PR-1 taxonomy so callers can apply strict/tolerant policy decisions.
 """
 
@@ -43,6 +53,9 @@ from ..gen.capture import DatasetTraces, TapWindow, Trace
 from ..gen.datasets import DATASETS
 from ..util.addr import Subnet
 from .schema import SCHEMA_VERSION
+from .tier.health import HealthTracker, ReplicaRepairReport, UnderReplicatedQueue
+from .tier.hotcache import HotTier
+from .tier.placement import BUCKETS, PlacementManifest, RebalanceReport
 from .shard import (
     DatasetShard,
     ShardError,
@@ -58,6 +71,7 @@ __all__ = [
     "CachedDataset",
     "GcReport",
     "DEFAULT_TMP_GRACE",
+    "manifest_refs",
     "shard_analysis",
     "assemble_analysis",
 ]
@@ -94,8 +108,18 @@ class GcReport:
     #: writer (the daemon) mid-publish, never removed.
     in_flight_tmp: int = 0
     #: Mirror manifests removed because their primary copy is gone
-    #: (tiered stores with replication only; always 0 on a flat store).
+    #: (replicated stores only; always 0 at ``replicas=1``).
     orphan_mirrors: int = 0
+
+
+def manifest_refs(payload: dict) -> tuple[str, ...]:
+    """Every object digest one manifest payload references (none for a
+    generation-key alias)."""
+    if payload.get("kind") == "checkpoint":
+        return (payload["state"], *payload.get("batches", ()))
+    digests = [payload["dataset_shard"]] if "dataset_shard" in payload else []
+    digests.extend(entry["shard"] for entry in payload.get("traces", ()))
+    return tuple(digests)
 
 
 class CachedDataset:
@@ -199,12 +223,39 @@ def assemble_analysis(
 
 
 class ConnStore:
-    """A content-addressed store of analyzed connection records."""
+    """A content-addressed store of analyzed connection records.
 
-    def __init__(self, root: str | Path) -> None:
+    Objects are routed by the store's :class:`PlacementManifest`:
+    ``tier.json`` at the root when present, otherwise the default (one
+    root, ``replicas=1``), which is never written.  With ``replicas: R``
+    in the placement manifest, every object is
+    published to R distinct roots (the bucket's primary plus R-1
+    secondaries in rendezvous order) and every manifest is mirrored to
+    R-1 secondaries — so losing any single root loses no data, only
+    redundancy.  A per-root circuit breaker (:class:`HealthTracker`)
+    keeps a dead root from slowing every operation: open roots are
+    skipped by reads, re-routed around by writes, and probed again
+    after a cooldown.  Every copy a failure prevented is enqueued in
+    ``under-replicated.json`` for ``store repair --replicas``.  Verified
+    bytes are kept in a bounded hot tier (:class:`HotTier`), so a
+    repeated read costs no I/O.
+    """
+
+    def __init__(self, root: str | Path, clock=time.monotonic) -> None:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.manifests_dir = self.root / "manifests"
+        placement = PlacementManifest.load(self.root) or PlacementManifest()
+        self.placement = placement
+        self._root_paths = placement.resolve_roots(self.root)
+        self.hot = HotTier(placement.hot_bytes, placement.pinned)
+        self.health = HealthTracker(
+            len(self._root_paths),
+            failure_threshold=placement.failure_threshold,
+            cooldown_s=placement.cooldown_s,
+            clock=clock,
+        )
+        self.repair_queue = UnderReplicatedQueue(self.root)
 
     # -- digests and keys --------------------------------------------------
 
@@ -297,32 +348,39 @@ class ConnStore:
         if engine_config is not None:
             payload["engine"] = engine_config
         return "gen-" + cls._key_of(payload)
-
-    # -- multi-root hooks --------------------------------------------------
-    #
-    # Everything that walks the object tree (gc, stats, scrub) goes
-    # through these three, so a tiered store (repro.store.tier) can
-    # spread objects over several roots by overriding them alone.  The
-    # flat store's answers keep it byte-identical to its historical
-    # single-directory behavior.
+    # -- roots -------------------------------------------------------------
 
     def roots(self) -> list[Path]:
         """Every filesystem root holding store files (primary first)."""
-        return [self.root]
+        return list(self._root_paths)
 
     def object_dirs(self) -> list[Path]:
         """Every ``objects/`` directory, one per root."""
-        return [self.objects_dir]
+        return [path / "objects" for path in self._root_paths]
 
     def owning_root(self, path: Path) -> Path:
-        """The root one store file lives under (quarantine stays on the
-        same filesystem as the damage it removes)."""
-        return self.root
+        """The declared root a store file lives under, so quarantine
+        stays on the same filesystem as the damage it removes
+        (longest-prefix match: a secondary root nested inside the
+        primary still wins for its own files)."""
+        best = self.root
+        best_len = -1
+        for candidate in self._root_paths:
+            if not path.is_relative_to(candidate):
+                continue
+            score = len(candidate.parts)
+            if score > best_len:
+                best, best_len = candidate, score
+        return best
 
     def manifest_dirs(self) -> list[Path]:
-        """Every directory holding manifest files (primary first; a
-        replicated tiered store adds its mirror directories)."""
-        return [self.manifests_dir]
+        """Every directory holding manifest files: the primary's, then
+        the mirror directories of a replicated store."""
+        if self.placement.effective_replicas() <= 1:
+            return [self.manifests_dir]
+        return [self.manifests_dir] + [
+            root / "manifests" for root in self._root_paths[1:]
+        ]
 
     def _object_files(self) -> Iterator[Path]:
         """Every shard object file across every root, per-dir sorted."""
@@ -330,10 +388,52 @@ class ConnStore:
             if directory.is_dir():
                 yield from sorted(directory.glob(f"*/*{_OBJECT_SUFFIX}"))
 
+    def _root_down(self, index: int) -> bool:
+        """Is this root's *infrastructure* gone (vs. one file missing)?
+
+        The probe routes through the fsio guard so the chaos plane's
+        ``root_down``/``flaky_root`` rules fire on it exactly as a real
+        unmounted disk would surface, then checks the directory itself.
+        A secondary root that has never been written is created on
+        demand by the write path, so "directory missing" genuinely
+        means lost.  The primary is different: it is created by the
+        store's first write, so its absence means a store nothing was
+        written to yet.
+        """
+        root = self._root_paths[index]
+        try:
+            fsio.guard("probe", root)
+        except OSError:
+            return True
+        return index != 0 and not root.is_dir()
+
     # -- object storage ----------------------------------------------------
 
+    def _object_path_at(self, index: int, digest: str) -> Path:
+        return (
+            self._root_paths[index] / "objects" / digest[:2]
+            / f"{digest}{_OBJECT_SUFFIX}"
+        )
+
     def _object_path(self, digest: str) -> Path:
-        return self.objects_dir / digest[:2] / f"{digest}{_OBJECT_SUFFIX}"
+        """Where writers put the digest now (its bucket's active root)."""
+        bucket = PlacementManifest.bucket_of(digest)
+        return self._object_path_at(self.placement.active_index(bucket), digest)
+
+    def _candidate_paths(self, digest: str) -> list[Path]:
+        """Everywhere the digest could legally live: the replica set
+        first (primary, then rendezvous secondaries), then every other
+        root (mid-move duplicates, crash leftovers, re-routed writes)."""
+        order = self.placement.replica_order(PlacementManifest.bucket_of(digest))
+        return [self._object_path_at(index, digest) for index in order]
+
+    def replica_paths(self, digest: str) -> list[tuple[int, Path]]:
+        """The (root index, path) pairs that must each hold a copy."""
+        bucket = PlacementManifest.bucket_of(digest)
+        return [
+            (index, self._object_path_at(index, digest))
+            for index in self.placement.replica_indices(bucket)
+        ]
 
     def put_object(self, data: bytes) -> str:
         """Store shard bytes under their own digest; returns the digest.
@@ -347,63 +447,203 @@ class ConnStore:
         cut.  The first writer wins — a later writer of the same digest
         (same bytes, by content addressing) either skips the write or
         harmlessly replaces the file with identical content.
+
+        The copy goes to the digest's full replica set.  The walk takes
+        the rendezvous order: the first ``replicas`` *usable* roots get
+        a copy — a root whose breaker is open, or whose publish fails,
+        is skipped (and counted against its health) and the write
+        re-routes to the next surviving root, so one dead root never
+        reduces the number of live copies.  Any deficit in the *strict*
+        replica set is enqueued for repair.  Raises only when no root
+        at all accepted the bytes.
         """
         digest = hashlib.sha256(data).hexdigest()
-        path = self._object_path(digest)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fsio.publish_bytes(path, data, tmp_prefix=f".{digest[:12]}-")
+        placement = self.placement
+        bucket = PlacementManifest.bucket_of(digest)
+        order = placement.replica_order(bucket)
+        want = placement.effective_replicas()
+        strict = set(placement.replica_indices(bucket))
+        copies = 0
+        published = False
+        last_error: OSError | None = None
+        for index in order:
+            if copies >= want:
+                break
+            path = self._object_path_at(index, digest)
+            if path.exists():
+                copies += 1
+                continue
+            if not self.health.available(index):
+                last_error = last_error or OSError(
+                    f"root {index} circuit breaker open"
+                )
+                continue
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fsio.publish_bytes(path, data, tmp_prefix=f".{digest[:12]}-")
+            except OSError as exc:
+                self.health.record_failure(index)
+                last_error = exc
+                continue
+            self.health.record_ok(index)
+            copies += 1
+            published = True
+        if copies == 0:
+            raise last_error if last_error is not None else OSError(
+                f"no root accepted object {digest[:12]}…"
+            )
+        if copies < want or any(
+            not self._object_path_at(index, digest).exists() for index in strict
+        ):
+            self.repair_queue.add_object(digest)
+        if published:
+            # A (re)published shard must never be shadowed by an older
+            # cache entry — repair rewrites ride through here too.
+            self.hot.invalidate(digest)
         return digest
 
     def get_object(self, digest: str) -> bytes:
-        """Load shard bytes, re-verifying the content address."""
-        path = self._object_path(digest)
-        try:
-            data = fsio.read_bytes(path)
-        except FileNotFoundError:
-            raise ShardError(
-                ErrorKind.TRUNCATED_BODY, str(path), None, "shard object missing"
-            ) from None
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != digest:
-            raise ShardError(
-                ErrorKind.DECODE_ERROR, str(path), None,
-                f"content address mismatch: named {digest[:12]}…, "
-                f"bytes hash to {actual[:12]}…",
-            )
-        return data
+        """Load shard bytes, re-verifying the content address.
+
+        The hot tier answers first; otherwise every root is tried in
+        replica order, skipping roots whose breaker is open, and the
+        first copy whose bytes hash to the digest wins (and is copied
+        back to any replica root that lost its own).
+        """
+        data = self.hot.get(digest)
+        if data is not None:
+            return data
+        corrupt: ShardError | None = None
+        order = self.placement.replica_order(PlacementManifest.bucket_of(digest))
+        for index in order:
+            if not self.health.available(index):
+                continue  # open breaker: the replica fallback serves us
+            path = self._object_path_at(index, digest)
+            try:
+                data = fsio.read_bytes(path)
+            except FileNotFoundError:
+                # Ambiguous: a missing *object* on a healthy root is a
+                # replica miss (read-repair's job); a missing *root* is
+                # an infrastructure failure the breaker must see.
+                if self._root_down(index):
+                    self.health.record_failure(index)
+                continue
+            except OSError:
+                self.health.record_failure(index)
+                continue
+            actual = hashlib.sha256(data).hexdigest()
+            if actual != digest:
+                # A rotted copy at one root must not mask a healthy one
+                # at another; remember the defect, keep scanning.  The
+                # root's I/O is fine — the breaker stays out of it.
+                corrupt = ShardError(
+                    ErrorKind.DECODE_ERROR, str(path), None,
+                    f"content address mismatch: named {digest[:12]}…, "
+                    f"bytes hash to {actual[:12]}…",
+                )
+                continue
+            self.health.record_ok(index)
+            self.hot.put(digest, data)
+            self._read_repair(digest, data)
+            return data
+        if corrupt is not None:
+            raise corrupt
+        raise ShardError(
+            ErrorKind.TRUNCATED_BODY, str(self._object_path(digest)), None,
+            f"shard object missing from all {len(self._root_paths)} root(s)",
+        )
+
+    def _read_repair(self, digest: str, data: bytes) -> None:
+        """Re-publish a digest-verified copy to any replica root that
+        lost (or never got) its own — the read that discovered the
+        damage is the cheapest moment to mend it.  Failures degrade to
+        a repair-queue entry; the read itself already succeeded.
+        """
+        if self.placement.effective_replicas() <= 1:
+            return
+        for index, path in self.replica_paths(digest):
+            if path.exists():
+                continue
+            if not self.health.available(index):
+                self.repair_queue.add_object(digest)
+                continue
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fsio.publish_bytes(path, data, tmp_prefix=f".{digest[:12]}-")
+                self.health.record_ok(index)
+            except OSError:
+                self.health.record_failure(index)
+                self.repair_queue.add_object(digest)
 
     # -- manifests ---------------------------------------------------------
 
     def _manifest_path(self, key: str) -> Path:
         return self.manifests_dir / f"{key}.json"
 
+    def mirror_paths(self, key: str) -> list[tuple[int, Path]]:
+        """Where one manifest's mirrors belong (rendezvous by key)."""
+        return [
+            (index, self._root_paths[index] / "manifests" / f"{key}.json")
+            for index in self.placement.mirror_indices(key)
+        ]
+
+    @staticmethod
+    def _read_manifest(path: Path) -> dict | None:
+        """One manifest's payload, or None when it cannot be read or
+        parsed — torn by a legacy writer, bit-rotted, or mid-flip under
+        chaos.  The scrubber is where such files get diagnosed."""
+        try:
+            return json.loads(fsio.read_bytes(path).decode("utf-8"))
+        except (OSError, ValueError):
+            return None
+
     def _write_manifest(self, key: str, payload: dict) -> None:
-        """Crash-consistently (re)write one manifest: a reader sees the
-        old version or the new one, never an interleaving — and after a
-        crash, never a torn file (contents and directory are fsynced
-        before and after the atomic rename)."""
-        path = self._manifest_path(key)
+        """Crash-consistently (re)write one manifest, then its mirrors.
+
+        A reader sees the old version or the new one, never an
+        interleaving — and after a crash, never a torn file (contents
+        and directory are fsynced before and after the atomic rename).
+        The primary copy alone feeds the manifest listing, so the
+        service's store-state token (and therefore every ETag) never
+        sees the mirrors.  Mirror failures degrade to a repair-queue
+        entry: the manifest is live the moment the primary copy lands.
+        """
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        fsio.publish_text(path, text, tmp_prefix=f".{key[:12]}-")
+        fsio.publish_text(self._manifest_path(key), text, tmp_prefix=f".{key[:12]}-")
+        for index, path in self.mirror_paths(key):
+            if not self.health.available(index):
+                self.repair_queue.add_manifest(key)
+                continue
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fsio.publish_text(path, text, tmp_prefix=f".{key[:12]}-")
+                self.health.record_ok(index)
+            except OSError:
+                self.health.record_failure(index)
+                self.repair_queue.add_manifest(key)
 
     def _delete_manifest(self, key: str) -> None:
-        """Retire one manifest (a completed streaming checkpoint).  A
-        replicated tiered store also drops the mirrors here."""
+        """Retire one manifest (a completed streaming checkpoint) and
+        its mirrors."""
         self._manifest_path(key).unlink(missing_ok=True)
+        for _, path in self.mirror_paths(key):
+            path.unlink(missing_ok=True)
 
     def lookup(self, key: str) -> dict | None:
         """Load a manifest by key, following generation-key aliases.
 
-        A manifest that cannot be read or parsed — torn by a legacy
-        writer, bit-rotted, or mid-flip under chaos — is treated as a
-        cache miss, never an error; the scrubber is where such files
-        get diagnosed and quarantined.
+        A manifest that cannot be read or parsed is a cache miss, never
+        an error.  A mirror is consulted only when the primary cannot
+        produce the manifest: it is a disaster copy, not a second source
+        of truth.
         """
-        path = self._manifest_path(key)
-        try:
-            payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-        except (OSError, ValueError):
+        payload = self._read_manifest(self._manifest_path(key))
+        if payload is None:
+            for _, path in self.mirror_paths(key):
+                payload = self._read_manifest(path)
+                if payload is not None:
+                    break
+        if payload is None:
             return None
         ref = payload.get("ref")
         if ref is not None:
@@ -415,11 +655,9 @@ class ConnStore:
         if not self.manifests_dir.is_dir():
             return
         for path in sorted(self.manifests_dir.glob("*.json")):
-            try:
-                payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
-            except (OSError, ValueError):
-                continue
-            yield payload
+            payload = self._read_manifest(path)
+            if payload is not None:
+                yield payload
 
     def manifests(self) -> Iterator[dict]:
         """Every dataset manifest in the store.
@@ -436,6 +674,24 @@ class ConnStore:
         for payload in self._raw_manifests():
             if payload.get("kind") == "checkpoint":
                 yield payload
+
+    def _orphan_mirrors(self) -> Iterator[tuple[Path, dict | None]]:
+        """Mirror manifests whose primary copy is gone, each with its
+        payload (None when it does not parse)."""
+        mirror_dirs = self.manifest_dirs()[1:]
+        if not mirror_dirs:
+            return
+        primary_keys = (
+            {path.stem for path in self.manifests_dir.glob("*.json")}
+            if self.manifests_dir.is_dir()
+            else set()
+        )
+        for directory in mirror_dirs:
+            if not directory.is_dir():
+                continue
+            for path in sorted(directory.glob("*.json")):
+                if path.stem not in primary_keys:
+                    yield path, self._read_manifest(path)
 
     # -- save / load -------------------------------------------------------
 
@@ -536,15 +792,16 @@ class ConnStore:
 
         Live checkpoint manifests count: an interrupted streaming run's
         state and result-batch objects must survive a gc pass, or the
-        run could never resume.
+        run could never resume.  So do *mirror* manifests whose primary
+        is gone: a crash window where only the mirror survives must not
+        let gc eat the objects repair still needs.
         """
         referenced: set[str] = set()
-        for manifest in self.manifests():
-            referenced.add(manifest["dataset_shard"])
-            referenced.update(entry["shard"] for entry in manifest["traces"])
-        for checkpoint in self.checkpoints():
-            referenced.add(checkpoint["state"])
-            referenced.update(checkpoint.get("batches", ()))
+        for payload in self._raw_manifests():
+            referenced.update(manifest_refs(payload))
+        for _, payload in self._orphan_mirrors():
+            if payload is not None:
+                referenced.update(manifest_refs(payload))
         return referenced
 
     def gc(
@@ -561,6 +818,12 @@ class ConnStore:
         debris, and is spared (counted in ``in_flight_tmp``).  Pass
         ``tmp_grace_s=0.0`` for the historical sweep-everything
         behavior on a store known to be quiescent.
+
+        A replicated store also sweeps orphaned checkpoint mirrors:
+        checkpoints are the one manifest kind that is legitimately
+        *retired*, so a missing primary means "done", not "lost".  Any
+        other orphan mirror is a disaster copy — ``repair --replicas``
+        restores the primary from it, so gc must not eat it.
         """
         referenced = self.referenced_objects()
         removed: list[str] = []
@@ -603,20 +866,329 @@ class ConnStore:
                 for bucket in sorted(directory.iterdir()):
                     if bucket.is_dir() and not any(bucket.iterdir()):
                         bucket.rmdir()
+        orphans = 0
+        for path, payload in self._orphan_mirrors():
+            if payload is not None and payload.get("kind") != "checkpoint":
+                continue
+            orphans += 1
+            if not dry_run:
+                path.unlink(missing_ok=True)
         return GcReport(
             removed=tuple(removed),
             stale_tmp=stale_tmp,
             reclaimed_bytes=reclaimed,
             dry_run=dry_run,
             in_flight_tmp=in_flight,
+            orphan_mirrors=orphans,
         )
 
     def stats(self) -> dict:
-        """Store-wide accounting for ``repro-study store ls``."""
+        """Store-wide accounting for ``repro-study store ls`` and ``/health``."""
         objects = list(self._object_files())
         return {
             "root": str(self.root),
             "manifests": sum(1 for _ in self.manifests()),
             "objects": len(objects),
             "bytes": sum(path.stat().st_size for path in objects),
+            "tier": self.tier_status(),
         }
+
+    # -- placement ---------------------------------------------------------
+
+    def add_root(self, spec: str) -> None:
+        """Declare a new root (no data moves until :meth:`rebalance`).
+
+        This writes the placement manifest, so a store that had none
+        records its placement from here on."""
+        if spec in self.placement.roots:
+            raise ValueError(f"root {spec!r} already declared")
+        self.placement.roots.append(spec)
+        self.placement.save(self.root)
+        self._root_paths = self.placement.resolve_roots(self.root)
+        self.health.add_root()
+
+    def _bucket_files(self, bucket: str) -> list[tuple[int, Path]]:
+        """(root index, path) of every object file in one bucket."""
+        found: list[tuple[int, Path]] = []
+        for index, root in enumerate(self._root_paths):
+            objects = root / "objects"
+            if not objects.is_dir():
+                continue
+            for prefix_dir in sorted(objects.iterdir()):
+                if not prefix_dir.is_dir() or not prefix_dir.name.startswith(bucket):
+                    continue
+                for path in sorted(prefix_dir.glob(f"*{_OBJECT_SUFFIX}")):
+                    found.append((index, path))
+        return found
+
+    def rebalance(self, max_buckets: int | None = None) -> RebalanceReport:
+        """Move buckets toward the leveled placement, incrementally.
+
+        Per bucket: record the move cursor, copy every object to the
+        destination root (crash-consistent publishes; already-present
+        copies are skipped, corrupt sources are left for scrub), flip
+        the assignment in one atomic manifest write, then delete the
+        now-duplicate source copies.  Readers are never blocked: until
+        the flip they find objects at the old home, after it at the
+        new one, and the any-root fallback covers every interleaving a
+        crash can produce.  ``max_buckets`` bounds one pass so the
+        rebalance can run as a background increment.
+        """
+        placement = self.placement
+        target = placement.balanced_assign()
+        todo = [
+            bucket for bucket in BUCKETS
+            if bucket in placement.moving or placement.assign[bucket] != target[bucket]
+        ]
+        limit = len(todo) if max_buckets is None else max(0, max_buckets)
+        moved: list[str] = []
+        copied = deleted = bytes_copied = 0
+        for bucket in todo[:limit]:
+            dest = placement.moving.get(bucket, target[bucket])
+            if dest != placement.assign[bucket]:
+                if placement.moving.get(bucket) != dest:
+                    placement.moving[bucket] = dest
+                    placement.save(self.root)
+                # Populate the *entire* post-flip replica set, not just
+                # the new primary — a move must never shrink redundancy.
+                want = placement.replica_indices(bucket, primary=dest)
+                for index, path in self._bucket_files(bucket):
+                    data: bytes | None = None
+                    for dest_index in want:
+                        if dest_index == index:
+                            continue
+                        target_path = (
+                            self._root_paths[dest_index] / "objects"
+                            / path.parent.name / path.name
+                        )
+                        if target_path.exists():
+                            continue
+                        if data is None:
+                            data = fsio.read_bytes(path)
+                            if hashlib.sha256(data).hexdigest() != path.stem:
+                                data = b""  # rotted source: scrub's problem
+                        if not data:
+                            continue
+                        target_path.parent.mkdir(parents=True, exist_ok=True)
+                        fsio.publish_bytes(
+                            target_path, data, tmp_prefix=f".{path.stem[:12]}-"
+                        )
+                        copied += 1
+                        bytes_copied += len(data)
+                placement.assign[bucket] = dest
+            placement.moving.pop(bucket, None)
+            placement.save(self.root)  # the atomic flip
+            moved.append(bucket)
+            # Reap copies outside the replica set — and any crash-
+            # orphaned duplicates — only after the flip is durable and
+            # every replica-set copy of the file exists.
+            keep = set(placement.replica_indices(bucket))
+            for index, path in self._bucket_files(bucket):
+                if index in keep:
+                    continue
+                replicated = all(
+                    (
+                        self._root_paths[keep_index] / "objects"
+                        / path.parent.name / path.name
+                    ).exists()
+                    for keep_index in keep
+                )
+                if replicated:
+                    path.unlink(missing_ok=True)
+                    deleted += 1
+        pending = tuple(placement.misplaced())
+        return RebalanceReport(
+            moved=tuple(moved),
+            copied=copied,
+            bytes_copied=bytes_copied,
+            deleted=deleted,
+            pending=pending,
+        )
+
+    # -- accounting --------------------------------------------------------
+
+    def tier_status(self) -> dict:
+        """Everything ``store tier status`` and ``/health`` report.
+
+        A missing or unreadable root is *reported*, never raised: status
+        is the tool an operator reaches for when a disk just died, so it
+        must work hardest exactly when a root is gone.  Such a root
+        shows ``"status": "down"`` with zeroed counts.
+        """
+        health = self.health.status()
+        roots = []
+        for index, root in enumerate(self._root_paths):
+            entry = {
+                "index": index,
+                "path": str(root),
+                "spec": self.placement.roots[index],
+                "buckets": sum(
+                    1 for b in BUCKETS if self.placement.assign[b] == index
+                ),
+                "objects": 0,
+                "bytes": 0,
+                "status": "ok",
+                "health": health[index],
+            }
+            try:
+                objects = root / "objects"
+                if self._root_down(index):
+                    entry["status"] = "down"
+                elif objects.is_dir():
+                    files = list(objects.glob(f"*/*{_OBJECT_SUFFIX}"))
+                    entry["objects"] = len(files)
+                    entry["bytes"] = sum(
+                        path.stat().st_size for path in files
+                    )
+            except OSError:
+                entry["status"] = "down"
+                entry["objects"] = 0
+                entry["bytes"] = 0
+            roots.append(entry)
+        queued_objects, queued_manifests = self.repair_queue.snapshot()
+        return {
+            "roots": roots,
+            "assign": {b: self.placement.assign[b] for b in BUCKETS},
+            "moving": dict(self.placement.moving),
+            "misplaced": list(self.placement.misplaced()),
+            "hot": self.hot.stats(),
+            "replicas": self.placement.replicas,
+            "effective_replicas": self.placement.effective_replicas(),
+            "under_replicated": {
+                "objects": len(queued_objects),
+                "manifests": len(queued_manifests),
+            },
+        }
+
+    # -- replica repair ----------------------------------------------------
+
+    def repair_replicas(self, sweep: bool = True) -> ReplicaRepairReport:
+        """Drain the repair queue back to full redundancy.
+
+        With ``sweep`` (the default) every object and manifest in the
+        store is checked too — the queue is a hint, not a ledger, and a
+        deficit created while no process was alive to notice (an
+        operator's ``rm -rf``, a store initialized at R=1 and raised to
+        R=2) is only visible to a sweep.  Copies are made strictly from
+        digest-verified bytes, so repair can never change a content
+        address — it only raises the number of roots holding it.
+        """
+        report = ReplicaRepairReport()
+        placement = self.placement
+        want = placement.effective_replicas()
+        queued_objects, queued_manifests = self.repair_queue.snapshot()
+        digests = set(queued_objects)
+        keys = set(queued_manifests)
+        if sweep:
+            for directory in self.object_dirs():
+                if not directory.is_dir():
+                    continue
+                for path in directory.glob(f"*/*{_OBJECT_SUFFIX}"):
+                    digests.add(path.stem)
+            for directory in self.manifest_dirs():
+                if not directory.is_dir():
+                    continue
+                for path in directory.glob("*.json"):
+                    keys.add(path.stem)
+        repaired: set[str] = set()
+        for digest in sorted(digests):
+            data: bytes | None = None
+            for path in self._candidate_paths(digest):
+                try:
+                    blob = fsio.read_bytes(path)
+                except OSError:
+                    continue
+                if hashlib.sha256(blob).hexdigest() == digest:
+                    data = blob
+                    break
+            if data is None:
+                report.failed.append(digest)
+                continue
+            wrote = 0
+            short = False
+            for index, path in self.replica_paths(digest):
+                if path.exists():
+                    continue
+                try:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    fsio.publish_bytes(
+                        path, data, tmp_prefix=f".{digest[:12]}-"
+                    )
+                    self.health.record_ok(index)
+                    wrote += 1
+                except OSError:
+                    self.health.record_failure(index)
+                    short = True
+            if short:
+                report.failed.append(digest)
+                continue
+            if wrote:
+                report.objects_restored += 1
+                report.copies_written += wrote
+                self.hot.invalidate(digest)
+            repaired.add(digest)
+        repaired_manifests: set[str] = set()
+        for key in sorted(keys):
+            if self._repair_manifest(key, want, report):
+                repaired_manifests.add(key)
+        self.repair_queue.discard(
+            objects=repaired & set(queued_objects),
+            manifests=repaired_manifests & set(queued_manifests),
+        )
+        report.remaining = len(self.repair_queue)
+        return report
+
+    def _repair_manifest(
+        self, key: str, want: int, report: ReplicaRepairReport
+    ) -> bool:
+        """Bring one manifest back to primary + R-1 identical mirrors."""
+        primary = self._manifest_path(key)
+        try:
+            text = fsio.read_bytes(primary).decode("utf-8")
+        except OSError:
+            text = None
+        if text is None:
+            # The primary is gone: restore it from a mirror.  Checkpoint
+            # mirrors are skipped — a checkpoint whose primary vanished
+            # was *retired* by the checkpointer, and repair must not
+            # resurrect it (same rule gc's orphan sweep applies).
+            for _, path in self.mirror_paths(key):
+                try:
+                    blob = fsio.read_bytes(path).decode("utf-8")
+                    payload = json.loads(blob)
+                except (OSError, ValueError):
+                    continue
+                if payload.get("kind") == "checkpoint":
+                    return True  # retired, nothing to restore
+                text = blob
+                break
+            if text is None:
+                report.failed.append(f"manifest:{key}")
+                return False
+            try:
+                fsio.publish_text(primary, text, tmp_prefix=f".{key[:12]}-")
+                report.manifests_mirrored += 1
+            except OSError:
+                report.failed.append(f"manifest:{key}")
+                return False
+        if want <= 1:
+            return True
+        short = False
+        for index, path in self.mirror_paths(key):
+            try:
+                current = fsio.read_bytes(path).decode("utf-8")
+            except OSError:
+                current = None
+            if current == text:
+                continue
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fsio.publish_text(path, text, tmp_prefix=f".{key[:12]}-")
+                self.health.record_ok(index)
+                report.manifests_mirrored += 1
+            except OSError:
+                self.health.record_failure(index)
+                short = True
+        if short:
+            report.failed.append(f"manifest:{key}")
+        return not short

@@ -7,15 +7,22 @@ What they cannot do is *fix* the store: a damaged shard stays on disk,
 poisoning every future warm start of its dataset.  This module closes
 that loop with two offline passes:
 
-**Scrub** (:class:`StoreScrubber.scrub`) walks every shard object and
-every manifest.  An object whose bytes no longer hash to its own name,
+**Scrub** walks every shard object (at every root) and every manifest,
+then counts temp files.  The walk runs either in bounded, resumable
+steps (:meth:`StoreScrubber.step` / :meth:`StoreScrubber.run`), which
+persist their progress in ``scrub-cursor.json`` so a background task
+can be paused, killed and resumed, or to the end in one sitting
+(:meth:`StoreScrubber.scrub`), which keeps its cursor in memory.  Both
+are the same phases and reach the same findings.
+
+An object whose bytes no longer hash to its own name,
 or whose RCS1 frame fails to verify, is *quarantined*: moved out of the
 objects tree into ``<root>/quarantine/<error-kind>/`` (the PR-1
 :class:`~repro.analysis.errors.ErrorKind` taxonomy names the
 subdirectory) next to a JSON sidecar recording what was wrong.  An
 unparseable manifest is quarantined the same way.  Manifests that parse
-but reference objects which are missing — or were just quarantined —
-are reported as damaged; checkpoint manifests whose state shard is gone
+but reference an object with no copy that passed verification — missing,
+quarantined, or left corrupt by an audit — are reported as damaged; checkpoint manifests whose state shard is gone
 are unresumable and quarantined outright.  Stale ``.tmp`` files are
 counted (informationally; ``store gc`` removes them).
 
@@ -51,7 +58,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..analysis.errors import ErrorKind
@@ -64,13 +71,25 @@ from .cache import (
     DEFAULT_TMP_GRACE,
     _OBJECT_SUFFIX,
     _TMP_SUFFIX,
+    manifest_refs,
 )
 from .shard import ShardError, decode_shard
 
-__all__ = ["ScrubFinding", "ScrubReport", "RepairOutcome", "StoreScrubber"]
+__all__ = [
+    "ScrubFinding",
+    "ScrubReport",
+    "RepairOutcome",
+    "StoreScrubber",
+    "CURSOR_FILE",
+]
 
 #: Subdirectory of the store root holding quarantined files.
 QUARANTINE_DIR = "quarantine"
+
+#: Progress-cursor filename at the primary store root.
+CURSOR_FILE = "scrub-cursor.json"
+
+_PHASES = ("objects", "manifests", "tmp", "done")
 
 
 @dataclass(frozen=True)
@@ -195,12 +214,45 @@ class RepairOutcome:
     reason: str = ""
 
 
+def _fresh_cursor() -> dict:
+    return {
+        "schema": 1,
+        "phase": "objects",
+        "after": None,
+        "objects_checked": 0,
+        "manifests_checked": 0,
+        "corrupt_objects": [],
+        "corrupt_manifests": [],
+        "dead_checkpoints": [],
+        "missing_refs": {},
+        "stale_tmp": 0,
+        "in_flight_tmp": 0,
+        "replica_target": 1,
+        "under_replicated": {},
+        "under_replicated_manifests": {},
+        # Streaming replica counter: the digest whose copies the objects
+        # phase is mid-way through counting when a budget boundary (or a
+        # crash) lands between two copies of it.
+        "pending_digest": None,
+        "pending_copies": 0,
+    }
+
+
 class StoreScrubber:
-    """Offline integrity walker and repairer for one :class:`ConnStore`."""
+    """Integrity walker and repairer for one :class:`ConnStore`.
+
+    There is one walk, run in one of two ways.  :meth:`step` and
+    :meth:`run` verify a bounded batch at a time and persist a progress
+    cursor (``scrub-cursor.json`` at the primary root) between steps,
+    so the walk can be paused, rescheduled, or killed at any point and
+    resume exactly where it stopped — integrity as a background task.
+    :meth:`scrub` runs the same walk to the end in one sitting on a
+    fresh in-memory cursor, and never reads or writes the cursor file.
+    """
 
     def __init__(self, store: ConnStore) -> None:
         self.store = store
-        self.quarantine_root = store.root / QUARANTINE_DIR
+        self.cursor_path = store.root / CURSOR_FILE
 
     # -- quarantine --------------------------------------------------------
 
@@ -208,10 +260,10 @@ class StoreScrubber:
         """Move one damaged file under the quarantine tree + sidecar.
 
         Returns the destination relative to the file's *owning root* —
-        on a tiered store, damage at a secondary root is quarantined
-        into that root's own ``quarantine/`` tree, keeping the move a
-        same-filesystem rename (which cannot itself tear); the sidecar
-        records provenance for a human (or a later forensic pass).
+        damage at a secondary root is quarantined into that root's own
+        ``quarantine/`` tree, keeping the move a same-filesystem rename
+        (which cannot itself tear); the sidecar records provenance for
+        a human (or a later forensic pass).
         """
         owner = self.store.owning_root(path)
         target_dir = owner / QUARANTINE_DIR / kind
@@ -222,9 +274,7 @@ class StoreScrubber:
             # A quarantined shard must also leave the hot tier — cached
             # bytes for a digest the store just disowned would keep
             # serving after the disk copy is gone.
-            hot = getattr(self.store, "hot", None)
-            if hot is not None:
-                hot.invalidate(path.stem)
+            self.store.hot.invalidate(path.stem)
         sidecar = {
             "kind": kind,
             "detail": detail,
@@ -234,8 +284,6 @@ class StoreScrubber:
             json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
         return str(target.relative_to(owner))
-
-    # -- scrub -------------------------------------------------------------
 
     def _check_object(self, path: Path) -> ShardError | None:
         """Verify one shard object's content address and RCS1 frame."""
@@ -259,6 +307,8 @@ class StoreScrubber:
             return exc
         return None
 
+    # -- one sitting -------------------------------------------------------
+
     def scrub(
         self,
         quarantine: bool = True,
@@ -272,97 +322,233 @@ class StoreScrubber:
         (a live daemon's publishes), not stale — same rule as
         :meth:`ConnStore.gc`.
         """
+        cursor = _fresh_cursor()
+        while cursor["phase"] != "done":
+            self._advance(cursor, None, quarantine, tmp_grace_s)
+        return self.report(cursor)
+
+    # -- resumable steps ---------------------------------------------------
+
+    def cursor(self) -> dict:
+        """The persisted cursor, or a fresh one for a new cycle."""
+        try:
+            payload = json.loads(fsio.read_bytes(self.cursor_path).decode("utf-8"))
+        except (OSError, ValueError):
+            return _fresh_cursor()
+        if payload.get("phase") not in _PHASES:
+            return _fresh_cursor()
+        for key, value in _fresh_cursor().items():
+            payload.setdefault(key, value)  # cursors from older cycles
+        return payload
+
+    def _save(self, cursor: dict) -> None:
+        text = json.dumps(cursor, sort_keys=True, indent=1) + "\n"
+        fsio.publish_text(self.cursor_path, text, tmp_prefix=".scrub-")
+
+    def reset(self) -> None:
+        """Start the next scrub cycle from the beginning."""
+        self.cursor_path.unlink(missing_ok=True)
+
+    def step(
+        self,
+        budget: int = 250,
+        quarantine: bool = True,
+        tmp_grace_s: float = DEFAULT_TMP_GRACE,
+    ) -> dict:
+        """Verify up to ``budget`` items, persist the cursor, return it.
+
+        A completed cycle parks the cursor at phase ``done``; calling
+        :meth:`step` on a done cursor starts a new cycle (integrity is
+        a rolling concern, not a one-shot).
+        """
+        cursor = self.cursor()
+        if cursor["phase"] == "done":
+            cursor = _fresh_cursor()
+        self._advance(cursor, budget, quarantine, tmp_grace_s)
+        self._save(cursor)
+        return cursor
+
+    def run(
+        self,
+        budget: int = 250,
+        quarantine: bool = True,
+        tmp_grace_s: float = DEFAULT_TMP_GRACE,
+        max_steps: int = 0,
+    ) -> dict:
+        """Step until the cycle completes (or ``max_steps`` is hit)."""
+        steps = 0
+        while True:
+            cursor = self.step(budget, quarantine, tmp_grace_s)
+            steps += 1
+            if cursor["phase"] == "done" or (max_steps and steps >= max_steps):
+                return cursor
+
+    # -- phases ------------------------------------------------------------
+
+    def _advance(
+        self,
+        cursor: dict,
+        budget: int | None,
+        quarantine: bool,
+        tmp_grace_s: float,
+    ) -> None:
+        """One step of the walk: up to ``budget`` items (None = no
+        bound) of the cursor's phase, plus the temp-file count once the
+        walk reaches it."""
+        cursor["replica_target"] = self.store.placement.effective_replicas()
+        if cursor["phase"] == "objects":
+            self._step_objects(cursor, budget, quarantine)
+        elif cursor["phase"] == "manifests":
+            self._step_manifests(cursor, budget, quarantine)
+        if cursor["phase"] == "tmp":
+            self._step_tmp(cursor, tmp_grace_s)
+
+    @staticmethod
+    def _sort_key(path: Path) -> list[str]:
+        # Digest first so the watermark is stable across roots; the full
+        # path breaks ties when a duplicate copy exists at two roots.
+        return [path.name, str(path)]
+
+    def _flush_pending(self, cursor: dict) -> None:
+        """Close the streaming replica count for the current digest."""
+        digest = cursor["pending_digest"]
+        if digest is not None and cursor["replica_target"] > 1:
+            if cursor["pending_copies"] < cursor["replica_target"]:
+                cursor["under_replicated"][digest] = cursor["pending_copies"]
+        cursor["pending_digest"] = None
+        cursor["pending_copies"] = 0
+
+    def _step_objects(self, cursor: dict, budget: int | None, quarantine: bool) -> None:
+        """Every shard object self-verifies, across every root; verified
+        copies are counted per digest against the replica target."""
         store = self.store
-        report = ScrubReport()
-        placement = getattr(store, "placement", None)
-        report.replica_target = (
-            placement.effective_replicas() if placement is not None else 1
-        )
-        # Pass 1: every shard object self-verifies (across every root —
-        # a tiered store's secondary roots are walked the same way).
-        # Verified copies are *counted* per digest so the report can
-        # name every object short of the replica target.
-        copies: dict[str, int] = {}
-        present: set[str] = set()
-        for path in store._object_files():
-            report.objects_checked += 1
+        after = cursor.get("after")
+        files = sorted(store._object_files(), key=self._sort_key)
+        checked = 0
+        for path in files:
+            key = self._sort_key(path)
+            if after is not None and key <= after:
+                continue
+            if budget is not None and checked >= budget:
+                cursor["after"] = after
+                return
+            checked += 1
+            after = key
+            cursor["objects_checked"] += 1
             error = self._check_object(path)
             if error is None:
-                present.add(path.stem)
-                copies[path.stem] = copies.get(path.stem, 0) + 1
+                # Copies of one digest are adjacent in the walk (the
+                # sort key leads with the filename), so replica counting
+                # is a streaming run-length over verified copies.
+                if cursor["pending_digest"] != path.stem:
+                    self._flush_pending(cursor)
+                    cursor["pending_digest"] = path.stem
+                cursor["pending_copies"] += 1
                 continue
             kind = error.kind.value
             rel = str(path.relative_to(store.owning_root(path)))
             destination = (
                 self._quarantine(path, kind, error.detail) if quarantine else ""
             )
-            report.corrupt_objects.append(
-                ScrubFinding(kind, rel, error.detail, destination)
+            cursor["corrupt_objects"].append(
+                asdict(ScrubFinding(kind, rel, error.detail, destination))
             )
-        if report.replica_target > 1:
-            report.under_replicated = {
-                digest: count
-                for digest, count in sorted(copies.items())
-                if count < report.replica_target
-            }
-        # Pass 2: every manifest parses and its references resolve; on a
-        # replicated store each must also have byte-identical mirrors.
-        if store.manifests_dir.is_dir():
-            for path in sorted(store.manifests_dir.glob("*.json")):
-                report.manifests_checked += 1
-                rel = str(path.relative_to(store.root))
-                try:
-                    text = fsio.read_bytes(path).decode("utf-8")
-                    payload = json.loads(text)
-                    if not isinstance(payload, dict):
-                        raise ValueError(f"not a JSON object: {type(payload).__name__}")
-                except (OSError, ValueError) as exc:
-                    kind = ErrorKind.DECODE_ERROR.value
-                    destination = (
-                        self._quarantine(path, kind, str(exc)) if quarantine else ""
-                    )
-                    report.corrupt_manifests.append(
-                        ScrubFinding(kind, rel, str(exc), destination)
-                    )
-                    continue
-                if report.replica_target > 1:
-                    found = 1 + sum(
-                        1
-                        for _, mirror in store.mirror_paths(path.stem)
-                        if self._mirror_matches(mirror, text)
-                    )
-                    if found < report.replica_target:
-                        report.under_replicated_manifests[path.stem] = found
-                if "ref" in payload:
-                    continue  # gen-key alias: nothing to resolve here
-                missing = tuple(
-                    digest
-                    for digest in self._referenced(payload)
-                    if digest not in present
+        self._flush_pending(cursor)
+        cursor["phase"] = "manifests"
+        cursor["after"] = None
+
+    def _object_present(self, digest: str, flagged: set[str]) -> bool:
+        """Does some copy of ``digest`` exist that the objects phase did
+        not flag as corrupt?  ``flagged`` holds the flagged paths
+        relative to their roots; a copy at a flagged path is verified
+        again, since an audit leaves corrupt copies in place and two
+        roots' copies share one relative path."""
+        store = self.store
+        for path in store._candidate_paths(digest):
+            if not path.exists():
+                continue
+            if str(path.relative_to(store.owning_root(path))) not in flagged:
+                return True
+            if self._check_object(path) is None:
+                return True
+        return False
+
+    def _step_manifests(self, cursor: dict, budget: int | None, quarantine: bool) -> None:
+        """Every manifest parses and its references resolve; on a
+        replicated store each must also have byte-identical mirrors."""
+        store = self.store
+        after = cursor.get("after")
+        if not store.manifests_dir.is_dir():
+            cursor["phase"] = "tmp"
+            cursor["after"] = None
+            return
+        flagged = {row["path"] for row in cursor["corrupt_objects"]}
+        checked = 0
+        for path in sorted(store.manifests_dir.glob("*.json")):
+            key = self._sort_key(path)
+            if after is not None and key <= after:
+                continue
+            if budget is not None and checked >= budget:
+                cursor["after"] = after
+                return
+            checked += 1
+            after = key
+            cursor["manifests_checked"] += 1
+            rel = str(path.relative_to(store.root))
+            try:
+                text = fsio.read_bytes(path).decode("utf-8")
+                payload = json.loads(text)
+                if not isinstance(payload, dict):
+                    raise ValueError(f"not a JSON object: {type(payload).__name__}")
+            except (OSError, ValueError) as exc:
+                kind = ErrorKind.DECODE_ERROR.value
+                destination = (
+                    self._quarantine(path, kind, str(exc)) if quarantine else ""
                 )
-                if not missing:
-                    continue
-                if payload.get("kind") == "checkpoint" and payload["state"] in missing:
-                    # Without its state shard the checkpoint can never
-                    # resume; keeping the manifest would pin dead batch
-                    # objects through every future gc.
-                    detail = f"state shard {payload['state'][:12]}… missing"
-                    destination = (
-                        self._quarantine(path, ErrorKind.TRUNCATED_BODY.value, detail)
-                        if quarantine
-                        else ""
-                    )
-                    report.dead_checkpoints.append(
-                        ScrubFinding(
-                            ErrorKind.TRUNCATED_BODY.value, rel, detail, destination
-                        )
-                    )
-                    continue
-                report.missing_refs[payload.get("key", path.stem)] = missing
-        # Pass 3: count (never touch) temp files from crashed writers,
-        # splitting out a live writer's in-flight publishes by age.
+                cursor["corrupt_manifests"].append(
+                    asdict(ScrubFinding(kind, rel, str(exc), destination))
+                )
+                continue
+            if cursor["replica_target"] > 1:
+                found = 1 + sum(
+                    1
+                    for _, mirror in store.mirror_paths(path.stem)
+                    if self._mirror_matches(mirror, text)
+                )
+                if found < cursor["replica_target"]:
+                    cursor["under_replicated_manifests"][path.stem] = found
+            missing = [
+                digest
+                for digest in manifest_refs(payload)
+                if not self._object_present(digest, flagged)
+            ]
+            if not missing:
+                continue
+            if payload.get("kind") == "checkpoint" and payload["state"] in missing:
+                # Without its state shard the checkpoint can never
+                # resume; keeping the manifest would pin dead batch
+                # objects through every future gc.
+                kind = ErrorKind.TRUNCATED_BODY.value
+                detail = f"state shard {payload['state'][:12]}… missing"
+                destination = (
+                    self._quarantine(path, kind, detail) if quarantine else ""
+                )
+                cursor["dead_checkpoints"].append(
+                    asdict(ScrubFinding(kind, rel, detail, destination))
+                )
+                continue
+            cursor["missing_refs"][payload.get("key", path.stem)] = missing
+        cursor["phase"] = "tmp"
+        cursor["after"] = None
+
+    def _step_tmp(self, cursor: dict, tmp_grace_s: float) -> None:
+        """Count (never touch) temp files from crashed writers, splitting
+        out a live writer's in-flight publishes by age."""
+        store = self.store
         now = time.time()
-        for base in (*store.object_dirs(), *store.manifest_dirs(), store.root / DAEMON_DIR):
+        stale = in_flight = 0
+        bases = [*store.object_dirs(), *store.manifest_dirs(), store.root / DAEMON_DIR]
+        for base in bases:
             if not base.is_dir():
                 continue
             for path in base.rglob(f"*{_TMP_SUFFIX}"):
@@ -371,10 +557,13 @@ class StoreScrubber:
                 except FileNotFoundError:
                     continue  # published (renamed away) mid-walk
                 if tmp_grace_s > 0 and now - mtime < tmp_grace_s:
-                    report.in_flight_tmp += 1
+                    in_flight += 1
                 else:
-                    report.stale_tmp += 1
-        return report
+                    stale += 1
+        cursor["stale_tmp"] = stale
+        cursor["in_flight_tmp"] = in_flight
+        cursor["phase"] = "done"
+        cursor["after"] = None
 
     @staticmethod
     def _mirror_matches(path: Path, text: str) -> bool:
@@ -384,14 +573,33 @@ class StoreScrubber:
         except (OSError, UnicodeDecodeError):
             return False
 
-    @staticmethod
-    def _referenced(payload: dict) -> tuple[str, ...]:
-        """Every object digest one manifest payload references."""
-        if payload.get("kind") == "checkpoint":
-            return (payload["state"], *payload.get("batches", ()))
-        digests = [payload["dataset_shard"]] if "dataset_shard" in payload else []
-        digests.extend(entry["shard"] for entry in payload.get("traces", ()))
-        return tuple(digests)
+    # -- reporting ---------------------------------------------------------
+
+    def report(self, cursor: dict | None = None) -> ScrubReport:
+        """Fold a cursor (by default the persisted one) into a report."""
+        cursor = cursor if cursor is not None else self.cursor()
+
+        def findings(rows: list[dict]) -> list[ScrubFinding]:
+            return [ScrubFinding(**row) for row in rows]
+
+        return ScrubReport(
+            objects_checked=cursor["objects_checked"],
+            manifests_checked=cursor["manifests_checked"],
+            corrupt_objects=findings(cursor["corrupt_objects"]),
+            corrupt_manifests=findings(cursor["corrupt_manifests"]),
+            missing_refs={
+                key: tuple(values)
+                for key, values in cursor["missing_refs"].items()
+            },
+            dead_checkpoints=findings(cursor["dead_checkpoints"]),
+            stale_tmp=cursor["stale_tmp"],
+            in_flight_tmp=cursor["in_flight_tmp"],
+            replica_target=cursor.get("replica_target", 1),
+            under_replicated=dict(cursor.get("under_replicated", {})),
+            under_replicated_manifests=dict(
+                cursor.get("under_replicated_manifests", {})
+            ),
+        )
 
     # -- repair ------------------------------------------------------------
 
@@ -447,9 +655,9 @@ class StoreScrubber:
                 key, analysis, traces, digests, repair=recipe
             )
             restored = tuple(
-                digest for digest in self._referenced(rebuilt) if digest in missing
+                digest for digest in manifest_refs(rebuilt) if digest in missing
             )
-            still_missing = set(missing) - set(self._referenced(rebuilt))
+            still_missing = set(missing) - set(manifest_refs(rebuilt))
             if still_missing:
                 outcomes.append(
                     RepairOutcome(

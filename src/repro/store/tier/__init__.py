@@ -1,40 +1,38 @@
-"""Tiered multi-root storage: placement, hot cache, compaction, scrub.
+"""Multi-root placement: routing table, root health, hot cache, compaction.
 
 See ``docs/store.md`` (§ tiering) for the operational story.  The short
-version: ``init_tier`` stamps a placement manifest onto a store root,
-``open_store`` returns the right store class for any root, and the
-rest of the pipeline never knows the difference.
+version: every :class:`~repro.store.cache.ConnStore` lives by a
+:class:`PlacementManifest`.  A store root without ``tier.json`` uses
+the default one — a single root, ``replicas=1`` — which is never
+written; ``init_tier`` (or ``add_root``) records a non-default
+placement, and ``rebalance`` levels buckets across the declared roots.
+The rest of the pipeline never knows the difference.
 """
 
 from .compact import CompactionReport, compact_checkpoints
-from .health import QUEUE_FILE, HealthTracker, UnderReplicatedQueue
+from .health import QUEUE_FILE, HealthTracker, ReplicaRepairReport, UnderReplicatedQueue
 from .hotcache import HotTier
-from .placement import BUCKETS, DEFAULT_HOT_BYTES, TIER_MANIFEST, PlacementManifest
-from .scrub import CURSOR_FILE, IncrementalScrubber
-from .store import (
+from .placement import (
+    BUCKETS,
+    DEFAULT_HOT_BYTES,
+    TIER_MANIFEST,
+    PlacementManifest,
     RebalanceReport,
-    ReplicaRepairReport,
-    TieredStore,
     init_tier,
-    open_store,
 )
 
 __all__ = [
     "BUCKETS",
-    "CURSOR_FILE",
     "CompactionReport",
     "DEFAULT_HOT_BYTES",
     "HealthTracker",
     "HotTier",
-    "IncrementalScrubber",
     "PlacementManifest",
     "QUEUE_FILE",
     "RebalanceReport",
     "ReplicaRepairReport",
     "TIER_MANIFEST",
-    "TieredStore",
     "UnderReplicatedQueue",
     "compact_checkpoints",
     "init_tier",
-    "open_store",
 ]

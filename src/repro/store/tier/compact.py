@@ -41,9 +41,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..cache import ConnStore, DEFAULT_TMP_GRACE
 from ..schema import SCHEMA_VERSION
+
+if TYPE_CHECKING:
+    from ..cache import ConnStore
 
 __all__ = ["CompactionReport", "compact_checkpoints"]
 
@@ -84,17 +87,21 @@ class CompactionReport:
 def compact_checkpoints(
     store: ConnStore,
     min_batches: int = DEFAULT_MIN_BATCHES,
-    grace_s: float = DEFAULT_TMP_GRACE,
+    grace_s: float | None = None,
     keys: tuple[str, ...] = (),
 ) -> CompactionReport:
     """Merge each eligible checkpoint's batch chain into one super-shard.
 
     ``keys`` restricts the pass to specific checkpoint keys (as listed
     in the manifests' ``key`` field); empty means every checkpoint.
-    Pass ``grace_s=0`` on a store known quiescent (tests, CI smoke).
-    Old batch and state objects become unreferenced — ``store gc``
-    reclaims them.
+    ``grace_s`` defaults to gc's temp-file grace
+    (:data:`~repro.store.cache.DEFAULT_TMP_GRACE`); pass ``grace_s=0``
+    on a store known quiescent (tests, CI smoke).  Old batch and state
+    objects become unreferenced — ``store gc`` reclaims them.
     """
+    if grace_s is None:
+        # Resolved here: the store class imports this package.
+        from ..cache import DEFAULT_TMP_GRACE as grace_s
     # Lazy: repro.stream imports repro.store at module scope; importing
     # it here (not at module scope) keeps the store package import-light
     # and cycle-free.

@@ -1,6 +1,6 @@
 """Root health: per-root circuit breakers and the repair queue.
 
-A tiered store's roots are independent failure domains — a dying disk
+A store's roots are independent failure domains — a dying disk
 returns EIO for every read, an unmounted one ENOENT for everything.
 Retrying a dead root on every object would turn one hardware fault into
 a latency fault for every query, so each root gets a classic circuit
@@ -19,7 +19,7 @@ breaker:
 Only *infrastructure* failures count: a missing object file on a
 healthy root is a routine replica miss (read-repair's job), never a
 breaker event.  Callers decide which is which — see
-``TieredStore._root_down``.
+``ConnStore._root_down``.
 
 :class:`UnderReplicatedQueue` is the durable half: every object or
 manifest that could not reach its full replica set is recorded in
@@ -35,12 +35,19 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ...chaos import fsio
 from .placement import DEFAULT_COOLDOWN_S, DEFAULT_FAILURE_THRESHOLD
 
-__all__ = ["RootHealth", "HealthTracker", "UnderReplicatedQueue", "QUEUE_FILE"]
+__all__ = [
+    "RootHealth",
+    "HealthTracker",
+    "UnderReplicatedQueue",
+    "ReplicaRepairReport",
+    "QUEUE_FILE",
+]
 
 #: Filename of the repair queue at the primary root.
 QUEUE_FILE = "under-replicated.json"
@@ -89,6 +96,11 @@ class HealthTracker:
         self._clock = clock
         self._lock = threading.Lock()
         self._roots = [RootHealth() for _ in range(count)]
+
+    def add_root(self) -> None:
+        """Track one more root (declared after the tracker was built)."""
+        with self._lock:
+            self._roots.append(RootHealth())
 
     def available(self, index: int) -> bool:
         """May this root be touched right now?
@@ -202,3 +214,36 @@ class UnderReplicatedQueue:
                 k for k in payload["manifests"] if k not in manifests
             ]
             self._save(payload)
+
+
+@dataclass
+class ReplicaRepairReport:
+    """What one ``repair --replicas`` pass restored."""
+
+    #: Objects whose replica set was brought back to target.
+    objects_restored: int = 0
+    #: Individual object copies published (across all objects).
+    copies_written: int = 0
+    #: Manifests re-mirrored to their secondary roots.
+    manifests_mirrored: int = 0
+    #: Objects that could not reach target (every source or destination
+    #: root failed) — they stay in the queue.
+    failed: list[str] = field(default_factory=list)
+    #: Queue entries remaining after the pass.
+    remaining: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+    def render(self) -> str:
+        lines = [
+            f"replica repair: {self.objects_restored} object(s) restored "
+            f"({self.copies_written} cop{'y' if self.copies_written == 1 else 'ies'} "
+            f"written), {self.manifests_mirrored} manifest(s) re-mirrored"
+        ]
+        for digest in self.failed:
+            lines.append(f"  FAILED {digest[:12]}… (left in the repair queue)")
+        if self.remaining:
+            lines.append(f"  {self.remaining} entr(ies) still queued")
+        return "\n".join(lines)

@@ -27,11 +27,17 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ...chaos import fsio
 
+if TYPE_CHECKING:
+    from ..cache import ConnStore
+
 __all__ = [
     "PlacementManifest",
+    "RebalanceReport",
+    "init_tier",
     "TIER_MANIFEST",
     "BUCKETS",
     "DEFAULT_HOT_BYTES",
@@ -39,9 +45,8 @@ __all__ = [
     "DEFAULT_COOLDOWN_S",
 ]
 
-#: Filename of the placement manifest at the primary root.  Its mere
-#: presence is what makes :func:`repro.store.tier.open_store` return a
-#: :class:`~repro.store.tier.store.TieredStore`.
+#: Filename of the placement manifest at the primary root.  A root
+#: without one lives by the default :class:`PlacementManifest`.
 TIER_MANIFEST = "tier.json"
 
 #: The 16 placement buckets: the first hex character of a content address.
@@ -57,6 +62,21 @@ DEFAULT_FAILURE_THRESHOLD = 3
 DEFAULT_COOLDOWN_S = 30.0
 
 _SCHEMA = 1
+
+
+@dataclass(frozen=True)
+class RebalanceReport:
+    """What one :meth:`~repro.store.cache.ConnStore.rebalance` pass did."""
+
+    #: Buckets whose assignment flipped this pass (hex chars).
+    moved: tuple[str, ...]
+    #: Object files copied to their new root.
+    copied: int
+    bytes_copied: int
+    #: Source/duplicate copies deleted after a verified flip.
+    deleted: int
+    #: Buckets still misplaced after this pass (bounded by max_buckets).
+    pending: tuple[str, ...]
 
 
 @dataclass
@@ -264,3 +284,38 @@ class PlacementManifest:
         """
         text = json.dumps(self.to_payload(), sort_keys=True, indent=1) + "\n"
         fsio.publish_text(primary / TIER_MANIFEST, text, tmp_prefix=".tier-")
+
+
+def init_tier(
+    root: str | Path,
+    roots: tuple[str, ...] = (),
+    hot_bytes: int = DEFAULT_HOT_BYTES,
+    pinned: tuple[str, ...] = (),
+    replicas: int = 1,
+) -> ConnStore:
+    """Write a placement manifest onto a store root and open the store.
+
+    Existing objects stay where they are — every bucket starts assigned
+    to the primary, so a freshly initialized tier answers identically
+    to the flat store it replaced; ``rebalance`` then levels buckets
+    across ``roots`` (extra roots beyond the implicit primary ``"."``).
+    With ``replicas`` > 1, existing objects are *under-replicated* until
+    ``repair --replicas`` (or the first cold read of each) copies them
+    out; new writes land on the full replica set immediately.
+    """
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    root = Path(root)
+    if (root / TIER_MANIFEST).exists():
+        raise FileExistsError(f"{root / TIER_MANIFEST} already exists")
+    placement = PlacementManifest(
+        roots=["."] + [spec for spec in roots if spec != "."],
+        hot_bytes=hot_bytes,
+        pinned=tuple(pinned),
+        replicas=replicas,
+    )
+    root.mkdir(parents=True, exist_ok=True)
+    placement.save(root)
+    from ..cache import ConnStore  # the store class imports this module
+
+    return ConnStore(root)

@@ -69,6 +69,20 @@ def test_health(service):
     assert body["jobs"]["queue_limit"] == 2
 
 
+def test_health_on_a_store_never_written(tmp_path):
+    """A store root nothing was written to yet is empty, not down."""
+    svc = ReproService(str(tmp_path / "fresh-store"), port=0)
+    svc.start_background()
+    try:
+        status, _, body = _get(svc.port, "/health")
+    finally:
+        svc.shutdown()
+    assert status == 200
+    assert body["status"] == "ok"
+    (root,) = body["store"]["tier"]["roots"]
+    assert root["status"] == "ok" and root["objects"] == 0
+
+
 def test_studies_lists_the_cached_analysis(service):
     status, headers, body = _get(service.port, "/studies")
     assert status == 200

@@ -21,13 +21,7 @@ from repro.service.app import store_state_token
 from repro.store import ConnFilter, ConnStore, StoreQuery, StoreScrubber
 from repro.store.query import GROUP_DIMENSIONS
 from repro.store.shard import ShardError, encode_shard
-from repro.store.tier import (
-    BUCKETS,
-    IncrementalScrubber,
-    PlacementManifest,
-    init_tier,
-    open_store,
-)
+from repro.store.tier import BUCKETS, PlacementManifest, init_tier
 from repro.store.tier.health import HealthTracker
 
 _THREADS = 8
@@ -136,7 +130,7 @@ def test_read_survives_loss_of_any_single_root(tmp_path):
     store, bodies = replica_store(tmp_path)
     for victim in range(1, 3):
         shutil.rmtree(store.roots()[victim])
-        fresh = open_store(store.root)  # new process: breakers closed
+        fresh = ConnStore(store.root)  # new process: breakers closed
         for digest, data in bodies.items():
             assert fresh.get_object(digest) == data
         fresh.repair_replicas()  # restore before killing the next root
@@ -318,7 +312,7 @@ def test_incremental_scrub_counts_replicas_across_step_boundaries(tmp_path):
     store, bodies = replica_store(tmp_path, count=12)
     victim = next(iter(bodies))
     store.replica_paths(victim)[1][1].unlink()
-    scrubber = IncrementalScrubber(store)
+    scrubber = StoreScrubber(store)
     # budget=1 forces the streaming counter to straddle every boundary.
     cursor = scrubber.run(budget=1, quarantine=False)
     report = scrubber.report(cursor)
@@ -405,7 +399,7 @@ def test_killing_one_root_changes_no_answer_and_repair_restores(
     healthy = _snapshot(StoreQuery(store))
     token = store_state_token(store.root)
     shutil.rmtree(store.roots()[1])
-    fresh = open_store(store.root)
+    fresh = ConnStore(store.root)
     assert _snapshot(StoreQuery(fresh)) == healthy
     assert store_state_token(fresh.root) == token
     report = fresh.repair_replicas()

@@ -193,3 +193,15 @@ def test_cli_study_accepts_store_flags(store_study, capsys):
         "--tables", "2", "--figures",
     ]) == 0
     assert "Table 2" in capsys.readouterr().out
+
+
+def test_flat_store_layout_is_objects_and_manifests_only(tmp_path):
+    """A store without ``tier.json`` lives by the default placement in
+    memory: a cold and a warm study write no placement manifest, no
+    repair queue and no manifest mirror."""
+    root = tmp_path / "store"
+    params = dict(seed=7, scale=0.004, datasets=("D0",), max_windows=1)
+    run_study(store_dir=str(root), **params)
+    run_study(store_dir=str(root), **params)
+    assert sorted(path.name for path in root.iterdir()) == ["manifests", "objects"]
+    assert {path.parent for path in root.rglob("*.json")} == {root / "manifests"}

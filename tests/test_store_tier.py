@@ -20,9 +20,7 @@ from repro.store.tier import (
     TIER_MANIFEST,
     HotTier,
     PlacementManifest,
-    TieredStore,
     init_tier,
-    open_store,
 )
 
 
@@ -88,7 +86,7 @@ def test_balanced_assign_levels_and_minimizes_moves():
     assert sorted(counts3) == [5, 5, 6]
 
 
-# -- init / open dispatch ----------------------------------------------------
+# -- init / open ----------------------------------------------------------
 
 
 def test_init_tier_is_single_shot(tmp_path):
@@ -98,11 +96,14 @@ def test_init_tier_is_single_shot(tmp_path):
         init_tier(tmp_path / "store")
 
 
-def test_open_store_dispatches_on_the_manifest(tmp_path):
-    flat = open_store(tmp_path / "flat")
-    assert type(flat) is ConnStore
-    init_tier(tmp_path / "tiered")
-    assert isinstance(open_store(tmp_path / "tiered"), TieredStore)
+def test_store_without_a_manifest_uses_the_default_placement(tmp_path):
+    flat = ConnStore(tmp_path / "flat")
+    assert flat.placement == PlacementManifest()
+    assert flat.roots() == [flat.root]
+    init_tier(tmp_path / "tiered", roots=("../b",), replicas=2)
+    tiered = ConnStore(tmp_path / "tiered")
+    assert tiered.placement.roots == [".", "../b"]
+    assert tiered.placement.effective_replicas() == 2
 
 
 def test_fresh_tier_answers_exactly_like_the_flat_store(tmp_path):
@@ -129,6 +130,17 @@ def test_rebalance_splits_objects_and_keeps_every_read(tmp_path):
     # A second pass has nothing left to do.
     again = store.rebalance()
     assert again.copied == 0 and again.pending == ()
+
+
+def test_root_added_to_a_flat_store_serves_the_same_process(tmp_path):
+    store, bodies = seeded(tmp_path / "store", count=8)
+    store.add_root(str(tmp_path / "b"))
+    store.rebalance()
+    assert (tmp_path / "store" / TIER_MANIFEST).exists()
+    fresh = {store.put_object(bytes([index]) * 50): index for index in range(32)}
+    assert any((tmp_path / "b" / "objects").glob("*/*"))
+    for digest in (*bodies, *fresh):
+        assert store.get_object(digest)
 
 
 def test_put_object_lands_at_the_assigned_root(tmp_path):

@@ -27,9 +27,15 @@ from repro.chaos.faults import CRASH_EXIT_CODE
 from repro.gen.capture import generate_dataset
 from repro.gen.topology import ENTERPRISE_NET, Enterprise
 from repro.service.app import store_state_token
-from repro.store import ConnFilter, StoreQuery, StoreScrubber, compact_checkpoints
+from repro.store import (
+    ConnFilter,
+    ConnStore,
+    StoreQuery,
+    StoreScrubber,
+    compact_checkpoints,
+)
 from repro.store.query import GROUP_DIMENSIONS
-from repro.store.tier import init_tier, open_store
+from repro.store.tier import init_tier
 from repro.stream.checkpoint import StreamCheckpointer, decode_result_batch
 from repro.stream.source import PacketSource
 
@@ -58,7 +64,7 @@ def tiered(store_study, tmp_path):
 
 def test_tiering_never_changes_a_query_answer(store_study, tiered):
     _, root = store_study
-    baseline = _snapshot(StoreQuery(open_store(root)))
+    baseline = _snapshot(StoreQuery(ConnStore(root)))
     assert _snapshot(StoreQuery(tiered)) == baseline  # flat layout, tiered code
     tiered.rebalance()
     assert _snapshot(StoreQuery(tiered)) == baseline  # objects split across roots
@@ -218,7 +224,7 @@ def test_compaction_merges_the_chain_and_preserves_every_result(
 def test_compaction_skips_live_writers_and_already_compact_chains(
     finished_results, tmp_path
 ):
-    store = open_store(tmp_path / "store")
+    store = ConnStore(tmp_path / "store")
     _checkpoint_with_batches(store, finished_results, key="ck-one", batches=1)
     _checkpoint_with_batches(store, finished_results, key="ck-live", batches=3)
     # Freshly-written manifests are inside the live-writer grace.
@@ -293,9 +299,8 @@ def test_sigkill_mid_compaction_is_recoverable(
         rules=[FaultRule(FaultKind.CRASH, op="publish", at=(publish_index,))]
     )
     script = (
-        "from repro.store import compact_checkpoints\n"
-        "from repro.store.tier import open_store\n"
-        f"store = open_store({str(store.root)!r})\n"
+        "from repro.store import ConnStore, compact_checkpoints\n"
+        f"store = ConnStore({str(store.root)!r})\n"
         "compact_checkpoints(store, grace_s=0)\n"
     )
     env = dict(os.environ, **{CHAOS_ENV: plane.to_env()})
@@ -305,7 +310,7 @@ def test_sigkill_mid_compaction_is_recoverable(
     )
     assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
 
-    survivor = open_store(store.root)
+    survivor = ConnStore(store.root)
     (manifest_now,) = survivor.checkpoints()
     # Old chain or new chain — never a mix, and always decodable.
     assert _batches_of(survivor, manifest_now) is not None
