@@ -834,20 +834,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _health(self) -> dict:
         service = self.service
         store_stats = service.store.stats()
-        # A tiered store with a dead root still serves (replicas cover
+        # A multi-root store with a dead root still serves (replicas cover
         # it) but an operator must see the degradation here, not in a
         # post-mortem: any down root or queued repair flips the status.
-        status = "ok"
-        tier = store_stats.get("tier")
-        if tier is not None:
-            under = tier.get("under_replicated", {})
-            degraded = any(
-                root.get("status") == "down" for root in tier["roots"]
-            ) or under.get("objects") or under.get("manifests")
-            if degraded:
-                status = "degraded"
+        tier = store_stats["tier"]
+        under = tier["under_replicated"]
+        degraded = any(
+            root["status"] == "down" for root in tier["roots"]
+        ) or under["objects"] or under["manifests"]
         return {
-            "status": status,
+            "status": "degraded" if degraded else "ok",
             "uptime_s": round(
                 time.monotonic() - service._started_monotonic, 3
             ),

@@ -33,8 +33,9 @@ trusted.
 
 Shards are verified twice on every load — their name must equal the
 SHA-256 of their bytes, and their CRC footer must check out — and every
-defect (a read I/O error included) surfaces as a :class:`~repro.store.shard.ShardError` carrying the
-PR-1 taxonomy so callers can apply strict/tolerant policy decisions.
+defect, a read I/O error included, surfaces as a
+:class:`~repro.store.shard.ShardError` carrying the PR-1 taxonomy so
+callers can apply strict/tolerant policy decisions.
 """
 
 from __future__ import annotations
@@ -228,11 +229,10 @@ class ConnStore:
     Objects are routed by the store's :class:`PlacementManifest`:
     ``tier.json`` at the root when present, otherwise the default (one
     root, ``replicas=1``), which is never written.  With ``replicas: R``
-    in the placement manifest, every object is
-    published to R distinct roots (the bucket's primary plus R-1
-    secondaries in rendezvous order) and every manifest is mirrored to
-    R-1 secondaries — so losing any single root loses no data, only
-    redundancy.  A per-root circuit breaker (:class:`HealthTracker`)
+    in the placement manifest, every object is published to R distinct
+    roots (the bucket's primary plus R-1 secondaries in rendezvous
+    order) and every manifest is mirrored to R-1 secondaries — so
+    losing any single root loses no data, only redundancy.  A per-root circuit breaker (:class:`HealthTracker`)
     keeps a dead root from slowing every operation: open roots are
     skipped by reads, re-routed around by writes, and probed again
     after a cooldown.  Every copy a failure prevented is enqueued in
@@ -903,6 +903,7 @@ class ConnStore:
         if spec in self.placement.roots:
             raise ValueError(f"root {spec!r} already declared")
         self.placement.roots.append(spec)
+        self.root.mkdir(parents=True, exist_ok=True)
         self.placement.save(self.root)
         self._root_paths = self.placement.resolve_roots(self.root)
         self.health.add_root()

@@ -15,16 +15,17 @@ can be paused, killed and resumed, or to the end in one sitting
 (:meth:`StoreScrubber.scrub`), which keeps its cursor in memory.  Both
 are the same phases and reach the same findings.
 
-An object whose bytes no longer hash to its own name,
-or whose RCS1 frame fails to verify, is *quarantined*: moved out of the
-objects tree into ``<root>/quarantine/<error-kind>/`` (the PR-1
+An object whose bytes no longer hash to its own name, or whose RCS1
+frame fails to verify, is *quarantined*: moved out of the objects tree
+into ``<root>/quarantine/<error-kind>/`` (the PR-1
 :class:`~repro.analysis.errors.ErrorKind` taxonomy names the
 subdirectory) next to a JSON sidecar recording what was wrong.  An
 unparseable manifest is quarantined the same way.  Manifests that parse
-but reference an object with no copy that passed verification — missing,
-quarantined, or left corrupt by an audit — are reported as damaged; checkpoint manifests whose state shard is gone
-are unresumable and quarantined outright.  Stale ``.tmp`` files are
-counted (informationally; ``store gc`` removes them).
+but reference an object with no copy that passed verification —
+missing, quarantined, or left corrupt by an audit — are reported as
+damaged; checkpoint manifests whose state shard is gone are unresumable
+and quarantined outright.  Stale ``.tmp`` files are counted
+(informationally; ``store gc`` removes them).
 
 **Repair** (:class:`StoreScrubber.repair`) re-derives damaged dataset
 manifests from their source traces.  Every analysis manifest written by
@@ -125,7 +126,7 @@ class ScrubReport:
     #: Young temp files inside the grace period — a live writer's
     #: in-flight publishes, not damage.
     in_flight_tmp: int = 0
-    #: The store's replica target (1 for flat / unreplicated stores).
+    #: The store's replica target (1 for an unreplicated store).
     replica_target: int = 1
     #: Objects short of the target: digest -> verified copies found.
     under_replicated: dict[str, int] = field(default_factory=dict)

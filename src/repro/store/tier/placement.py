@@ -1,11 +1,13 @@
 """Shard placement across multiple store roots.
 
-A tiered store spreads its ``objects/`` tree over N filesystem roots,
+A store spreads its ``objects/`` tree over N filesystem roots,
 routing each shard by the first hex character of its content address —
 16 *buckets*, each wholly owned by one root.  The routing table lives in
 a single JSON **placement manifest** (``tier.json``) at the primary
 root, published through the crash-consistent fsio seam so readers see
-the old table or the new one, never a torn file.
+the old table or the new one, never a torn file.  A root without one
+lives by the default table — the primary alone, one copy — which is
+never written: ``tier.json`` records only a non-default placement.
 
 The manifest also records the *moving* cursor: while a bucket's objects
 are being copied to a new root, ``moving[bucket]`` names the
@@ -81,7 +83,7 @@ class RebalanceReport:
 
 @dataclass
 class PlacementManifest:
-    """The routing table one tiered store lives by.
+    """The routing table one store lives by.
 
     ``roots`` are *specs*: ``"."`` is the primary root itself, other
     entries are absolute paths or paths relative to the primary.  Index
@@ -265,7 +267,7 @@ class PlacementManifest:
 
     @classmethod
     def load(cls, primary: Path) -> "PlacementManifest | None":
-        """Read the placement manifest, or None when the store is flat."""
+        """Read the placement manifest, or None when the root has none."""
         path = primary / TIER_MANIFEST
         try:
             payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
@@ -297,7 +299,7 @@ def init_tier(
 
     Existing objects stay where they are — every bucket starts assigned
     to the primary, so a freshly initialized tier answers identically
-    to the flat store it replaced; ``rebalance`` then levels buckets
+    to the single-root store it was; ``rebalance`` then levels buckets
     across ``roots`` (extra roots beyond the implicit primary ``"."``).
     With ``replicas`` > 1, existing objects are *under-replicated* until
     ``repair --replicas`` (or the first cold read of each) copies them

@@ -460,7 +460,7 @@ class StreamCheckpointer:
     def clear(self) -> None:
         """Retire the checkpoint (the trace finished and dispatched).
 
-        Goes through the store's delete hook so a replicated tiered
-        store retires the mirror copies along with the primary."""
+        Goes through the store's delete hook so a replicated store
+        retires the mirror copies along with the primary."""
         self.store._delete_manifest(self.manifest_key)
         self.batch_digests = []
