@@ -34,7 +34,7 @@ _STUDY = [
     "--max-windows", "2", "--error-policy", "tolerant",
     "--tables", "2", "--figures",
 ]
-_STREAM = ["stream"] + _STUDY + ["--checkpoint-every", "300"]
+_STREAM = _STUDY + ["--checkpoint-every", "300"]
 
 
 def _run(args: list[str], plane: FaultPlane | None = None):

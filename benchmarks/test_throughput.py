@@ -11,6 +11,7 @@ import io
 import json
 import os
 import random
+import statistics
 import time
 
 from repro.analysis.flow import FlowTable
@@ -86,15 +87,22 @@ class TestPcapIo:
         assert count > 1000
 
 
+#: Alternating sequential/parallel study pairs the runtime gate times.
+_RUNTIME_PAIRS = 5
+
+
 class TestRuntimeScaling:
     """Sequential vs parallel study wall clock (``make runtime-bench``).
 
-    Cold-runs the five-dataset study twice — ``jobs=1`` and
-    ``jobs=min(4, cores)`` — and writes ``BENCH_runtime.json`` plus the
-    parallel run's JSONL telemetry under ``benchmarks/output/``.  The
-    ≥2x speedup bar only applies where the hardware can deliver it
-    (4+ cores); fewer cores still produce the artifact, with the
-    observed ratio recorded.
+    Cold-runs the five-dataset study at ``jobs=1`` and at
+    ``jobs=min(4, cores)``, alternating, for :data:`_RUNTIME_PAIRS`
+    pairs, and gates on the median of the per-pair speedups, so one
+    slow study on a shared host cannot decide the verdict.  Writes
+    ``BENCH_runtime.json`` plus the parallel runs' JSONL telemetry
+    under ``benchmarks/output/``.  The ≥2x speedup bar only applies
+    where the hardware can deliver it (4+ cores), ≥1.2x on 2–3 cores;
+    a single core still produces the artifact, with the observed ratio
+    recorded.
     """
 
     def test_parallel_speedup(self, output_dir):
@@ -112,27 +120,32 @@ class TestRuntimeScaling:
         telemetry_path = output_dir / "BENCH_runtime_telemetry.jsonl"
         telemetry_path.unlink(missing_ok=True)
 
-        start = time.perf_counter()
-        sequential = run_study(jobs=1, **params)
-        sequential_s = time.perf_counter() - start
+        sequential_s, parallel_s = [], []
+        for _ in range(_RUNTIME_PAIRS):
+            start = time.perf_counter()
+            sequential = run_study(jobs=1, **params)
+            sequential_s.append(time.perf_counter() - start)
 
-        start = time.perf_counter()
-        parallel = run_study(
-            jobs=jobs, telemetry_path=str(telemetry_path), **params
-        )
-        parallel_s = time.perf_counter() - start
+            start = time.perf_counter()
+            parallel = run_study(
+                jobs=jobs, telemetry_path=str(telemetry_path), **params
+            )
+            parallel_s.append(time.perf_counter() - start)
 
-        # Same bytes regardless of worker count (spot-check two tables).
-        assert parallel.render_table(2) == sequential.render_table(2)
-        assert parallel.render_table(10) == sequential.render_table(10)
-        speedup = sequential_s / parallel_s if parallel_s else float("inf")
+            # Same bytes regardless of worker count (spot-check two tables).
+            assert parallel.render_table(2) == sequential.render_table(2)
+            assert parallel.render_table(10) == sequential.render_table(10)
+        ratios = [seq / par for seq, par in zip(sequential_s, parallel_s)]
+        speedup = statistics.median(ratios)
         report = {
             "workload": params,
             "cpu_count": cores,
             "jobs": jobs,
-            "sequential_s": round(sequential_s, 3),
-            "parallel_s": round(parallel_s, 3),
+            "pairs": _RUNTIME_PAIRS,
+            "sequential_s": round(statistics.median(sequential_s), 3),
+            "parallel_s": round(statistics.median(parallel_s), 3),
             "speedup": round(speedup, 3),
+            "pair_speedups": [round(ratio, 3) for ratio in ratios],
             "unit_walls_s": {
                 event["unit"]: event["wall_s"]
                 for event in parallel.telemetry.unit_events("unit_finish")

@@ -12,12 +12,12 @@ A ``store`` subcommand inspects the connection-record store::
     repro-study store scrub --store-dir .store
     repro-study store repair --store-dir .store --traces-dir traces/
 
-A ``stream`` subcommand runs the same study with the ingest engine's
-knobs exposed (``docs/streaming.md``): live per-window progress on
-stderr, flow-table bounds, and optional crash-resumable checkpoints::
+The ingest engine's knobs (``docs/streaming.md``) ride the same
+command: the aggregation window (narrated live on stderr with
+``--progress``), flow-table bounds, and crash-resumable checkpoints::
 
-    repro-study stream --datasets D0 --window 60 --max-flows 65536 \\
-        --store-dir .store --checkpoint-every 50000
+    repro-study --datasets D0 --window 60 --max-flows 65536 \\
+        --store-dir .store --checkpoint-every 50000 --progress
 
 A ``daemon`` subcommand runs the always-on supervised multi-tenant
 ingestion service (``docs/daemon.md``)::
@@ -54,8 +54,14 @@ _ALL_TABLES = list(range(1, 16))
 _ALL_FIGURES = list(range(1, 11))
 
 
-def _add_study_args(parser: argparse.ArgumentParser) -> None:
-    """The flags shared by the main study run and ``stream``."""
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-study",
+        description=(
+            "Reproduce 'A First Look at Modern Enterprise Traffic' "
+            "(Pang et al., IMC 2005) on synthetic LBNL-like traces."
+        ),
+    )
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument(
         "--scale",
@@ -128,8 +134,9 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress",
         action="store_true",
-        help="narrate unit progress on stderr and print a final "
-        "per-unit timing table",
+        help="narrate unit progress (and, at --jobs 1, each closed "
+        "aggregation window) on stderr and print a final per-unit "
+        "timing table",
     )
     parser.add_argument(
         "--telemetry",
@@ -137,38 +144,13 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="append the structured JSONL runtime event stream here",
     )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-study",
-        description=(
-            "Reproduce 'A First Look at Modern Enterprise Traffic' "
-            "(Pang et al., IMC 2005) on synthetic LBNL-like traces."
-        ),
-    )
-    _add_study_args(parser)
-    return parser
-
-
-def _build_stream_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-study stream",
-        description=(
-            "Run the study with the ingest engine's knobs: live window "
-            "narration, flow-table bounds, and crash checkpoints "
-            "(byte-identical tables under the default knobs; see "
-            "docs/streaming.md)."
-        ),
-    )
-    _add_study_args(parser)
     parser.add_argument(
         "--window",
         type=float,
         default=60.0,
         metavar="SECONDS",
         help="live aggregation window (default 60s); with --progress "
-        "each closed window is narrated on stderr",
+        "at --jobs 1 each closed window is narrated on stderr",
     )
     parser.add_argument(
         "--max-flows",
@@ -394,11 +376,16 @@ def _build_store_parser() -> argparse.ArgumentParser:
 def _store_main(argv: list[str]) -> int:
     """The ``repro-study store`` subcommand family."""
     from ..store import ConnFilter, ConnStore, StoreQuery, StoreScrubber
+    from ..store.tier import PlacementManifestError
 
     args = _build_store_parser().parse_args(argv)
-    if args.command == "tier":
-        return _store_tier_main(args)
-    store = ConnStore(args.store_dir)
+    try:
+        if args.command == "tier":
+            return _store_tier_main(args)
+        store = ConnStore(args.store_dir)
+    except PlacementManifestError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "scrub":
         scrubber = StoreScrubber(store)
         if args.incremental:
@@ -1007,12 +994,19 @@ def _window_progress(window) -> None:
     )
 
 
-def _stream_main(argv: list[str]) -> int:
-    """The ``repro-study stream`` subcommand: the study with the ingest
-    knobs exposed, with live per-window narration under
-    ``--progress`` (sequential runs only — the window callback cannot
-    cross a process boundary)."""
-    args = _build_stream_parser().parse_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    """Run the study and print the requested tables/figures."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "store":
+        return _store_main(argv[1:])
+    if argv and argv[0] == "daemon":
+        return _daemon_main(argv[1:])
+    if argv and argv[0] == "serve":
+        return _serve_main(argv[1:])
+    if argv and argv[0] == "loadgen":
+        return _loadgen_main(argv[1:])
+    args = _build_parser().parse_args(argv)
     knobs = StreamConfig(
         window=args.window,
         max_flows=args.max_flows,
@@ -1020,6 +1014,7 @@ def _stream_main(argv: list[str]) -> int:
         hard_timeout=args.hard_timeout,
         checkpoint_every=args.checkpoint_every,
     )
+    # The window callback cannot cross a process boundary.
     observer = _window_progress if args.progress and args.jobs == 1 else None
     results = run_study(
         seed=args.seed,
@@ -1035,37 +1030,6 @@ def _stream_main(argv: list[str]) -> int:
         telemetry_path=args.telemetry,
         stream=knobs,
         window_observer=observer,
-    )
-    return _print_results(args, results)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the study and print the requested tables/figures."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "store":
-        return _store_main(argv[1:])
-    if argv and argv[0] == "stream":
-        return _stream_main(argv[1:])
-    if argv and argv[0] == "daemon":
-        return _daemon_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        return _loadgen_main(argv[1:])
-    args = _build_parser().parse_args(argv)
-    results = run_study(
-        seed=args.seed,
-        scale=args.scale,
-        datasets=tuple(args.datasets),
-        max_windows=args.max_windows,
-        out_dir=args.out_dir,
-        error_policy=args.error_policy,
-        store_dir=args.store_dir,
-        reuse_store=not args.no_reuse_store,
-        jobs=args.jobs,
-        progress=args.progress,
-        telemetry_path=args.telemetry,
     )
     return _print_results(args, results)
 

@@ -9,11 +9,12 @@ With ``store_dir`` set, every finished analysis is sharded into a
 :class:`~repro.store.ConnStore` and subsequent runs rebuild their tables
 from cached shards instead of re-parsing pcaps (see :mod:`repro.store`).
 
-With ``jobs > 1``, datasets become independent work units fanned out
-across worker processes by the :mod:`repro.runtime` scheduler; results
-come back as store shards (through the store when one is configured,
-as shard bytes over the result pipe otherwise), so any worker count
-produces byte-identical tables (see ``docs/runtime.md``).
+Each dataset is one independent work unit.  ``jobs=1`` runs the units
+in-process, one after another; with ``jobs > 1`` the same units fan out
+across worker processes by the :mod:`repro.runtime` scheduler, and
+results come back as store shards (through the store when one is
+configured, as shard bytes over the result pipe otherwise), so any
+worker count produces byte-identical tables (see ``docs/runtime.md``).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from ..report.findings import table5 as findings_table5
 from ..report.categories import CategoryBreakdown, category_breakdown
 from ..report.model import CdfFigure, SeriesFigure, Table
 from ..runtime.scheduler import ProcessPoolScheduler, RetryPolicy, resolve_jobs
-from ..runtime.task import Task, TaskGraph
-from ..runtime.telemetry import TelemetryLog
+from ..runtime.task import Task
+from ..runtime.telemetry import TelemetryLog, unit_counters
 from ..store.cache import ConnStore, assemble_analysis, shard_analysis
 from ..store.shard import decode_dataset_shard, decode_trace_shard
 from ..util.fmt import fmt_duration
@@ -359,29 +360,39 @@ def _generate_and_analyze(
     return dataset_traces, analysis, trace_bytes
 
 
-def _dataset_unit_worker(spec: Mapping) -> dict:
-    """One parallel work unit: produce one dataset's analysis and return
-    a picklable receipt.
+def _dataset_unit(
+    spec: Mapping,
+    enterprise: Enterprise,
+    store: ConnStore | None,
+    *,
+    mutate_traces: Callable[[str, DatasetTraces], None] | None = None,
+    window_observer: Callable | None = None,
+) -> tuple[DatasetTraces, DatasetAnalysis, dict]:
+    """One dataset, start to finish: ``(traces, analysis, receipt)``.
 
-    Runs in a forked worker process under ``jobs > 1``.  With a study
-    store the analysis is sharded into it and the parent rebuilds it
-    from the returned manifest key.  Without one, the receipt carries
-    the shard bytes themselves (``shards``): the same pickle-free codec
-    the store writes, so the parent's copy is byte-identical whichever
-    way it travelled.  Determinism: the unit reuses the *study* seed;
-    every random stream below it is already keyed by (dataset, window),
-    so the bytes cannot depend on worker count or execution order.
+    ``spec`` is the unit's task payload (:func:`_unit_tasks`).  With a
+    study ``store``, a warm entry under the unit's generation key is
+    served when its source pcaps (if kept) still digest-match and its
+    shards load; otherwise the dataset is generated and analyzed, and
+    the analysis is sharded into the store.  ``mutate_traces`` forces
+    the cold path, since the hook must see real trace files.  The
+    receipt holds the picklable outcome: ``dataset``,
+    ``manifest_key``, ``cache`` (``hit``/``miss``, ``None`` without a
+    store), ``packets``, pcap ``bytes`` written, and ``io_errors`` the
+    analysis absorbed under a tolerant policy.
+
+    Determinism: the unit reuses the *study* seed; every random stream
+    below it is already keyed by (dataset, window), so the bytes cannot
+    depend on worker count or execution order.
     """
     name = spec["dataset"]
     seed = spec["seed"]
     out_dir = spec["out_dir"]
     policy = ErrorPolicy.coerce(spec["error_policy"])
     stream = StreamConfig(**spec["stream"])
-    enterprise = Enterprise(seed=seed)
     known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
-    store = ConnStore(spec["store_dir"]) if spec["store_dir"] else None
     gen_key = None
-    if store is not None:
+    if store is not None and mutate_traces is None:
         gen_key = store.generation_key(
             name,
             seed,
@@ -398,15 +409,15 @@ def _dataset_unit_worker(spec: Mapping) -> dict:
             if manifest is not None and store.sources_intact(
                 manifest, Path(out_dir) if out_dir else None
             ):
-                if store.load_or_none(manifest, policy) is not None:
-                    return {
+                cached = store.load_or_none(manifest, policy)
+                if cached is not None:
+                    return cached.traces, cached.analysis, {
                         "dataset": name,
                         "manifest_key": manifest["key"],
                         "cache": "hit",
-                        "packets": sum(
-                            entry["packet_count"] for entry in manifest["traces"]
-                        ),
+                        "packets": cached.traces.total_packets,
                         "bytes": 0,
+                        "io_errors": 0,
                     }
     dataset_traces, analysis, trace_bytes = _generate_and_analyze(
         name,
@@ -417,27 +428,67 @@ def _dataset_unit_worker(spec: Mapping) -> dict:
         max_windows=spec["max_windows"],
         out_dir=out_dir,
         policy=policy,
+        mutate_traces=mutate_traces,
         store=store,
         gen_key=gen_key,
         stream=stream,
+        window_observer=window_observer,
     )
-    receipt = {
+    return dataset_traces, analysis, {
         "dataset": name,
         "manifest_key": gen_key,
         "cache": "miss" if store is not None else None,
         "packets": dataset_traces.total_packets,
         "bytes": trace_bytes,
-        # Storage faults the worker absorbed under a tolerant policy;
-        # the parent folds these into the data-quality accounting when
-        # it has to recompute the dataset inline.
         "io_errors": sum(analysis.io_errors.values()),
     }
+
+
+def _dataset_unit_worker(spec: Mapping) -> dict:
+    """One dataset unit in a forked worker (``jobs > 1``): the picklable
+    receipt of :func:`_dataset_unit`.
+
+    With a study store the analysis is sharded into it and the parent
+    rebuilds it from the returned manifest key.  Without one, the
+    receipt carries the shard bytes themselves (``shards``): the same
+    pickle-free codec the store writes, so the parent's copy is
+    byte-identical whichever way it travelled.
+    """
+    store = ConnStore(spec["store_dir"]) if spec["store_dir"] else None
+    dataset_traces, analysis, receipt = _dataset_unit(
+        spec, Enterprise(seed=spec["seed"]), store
+    )
     if store is None:
         # No content address without a store: the digests stay empty.
         receipt["shards"] = shard_analysis(
             analysis, dataset_traces, [""] * len(dataset_traces.traces)
         )
     return receipt
+
+
+def _unit_tasks(
+    config: StudyConfig, policy: ErrorPolicy, reuse_store: bool
+) -> list[Task]:
+    """One task per distinct dataset, in study order."""
+    stream = config.stream if config.stream is not None else StreamConfig()
+    return [
+        Task(
+            key=f"dataset:{name}",
+            kind="dataset",
+            payload={
+                "dataset": name,
+                "seed": config.seed,
+                "scale": config.scale,
+                "max_windows": config.max_windows,
+                "out_dir": config.out_dir,
+                "error_policy": policy.value,
+                "store_dir": config.store_dir,
+                "reuse_store": reuse_store,
+                "stream": asdict(stream),
+            },
+        )
+        for name in dict.fromkeys(config.datasets)
+    ]
 
 
 def run_study(
@@ -479,15 +530,17 @@ def run_study(
     trace files), and any pcaps still on disk are digest-verified before
     a cached analysis is trusted.
 
-    ``jobs`` selects the execution runtime (``docs/runtime.md``): 1 (the
-    default) keeps today's in-process sequential path; ``N > 1`` fans
-    datasets out across ``N`` worker processes (0 = all cores) with
-    identical output bytes.  A unit whose worker crashes, raises, or
-    times out is retried per ``retry`` (default: twice, exponential
-    backoff) and then — under the non-strict policies — quarantined and
-    reported in :attr:`StudyResults.unit_failures` and the data-quality
-    section; under ``strict`` the study raises.  ``mutate_traces`` runs
-    force the sequential path (the hook is not shipped to workers).
+    ``jobs`` selects where the per-dataset units run
+    (``docs/runtime.md``); every value runs the same unit and renders
+    identical output bytes.  1 (the default) runs them one after
+    another in this process, without retry: a failure raises the unit's
+    own error.  ``N > 1`` fans them out across ``N`` worker processes
+    (0 = all cores); a unit whose worker crashes, raises, or times out
+    is retried per ``retry`` (default: twice, exponential backoff) and
+    then — under the non-strict policies — quarantined and reported in
+    :attr:`StudyResults.unit_failures` and the data-quality section;
+    under ``strict`` the study raises.  ``mutate_traces`` runs force
+    ``jobs=1`` (the hook is not shipped to workers).
 
     ``progress`` narrates unit progress on stderr; ``telemetry_path``
     appends the structured JSONL event stream (schema:
@@ -519,114 +572,65 @@ def run_study(
     results = StudyResults(
         config=config, enterprise=Enterprise(seed=seed), telemetry=telemetry
     )
+    tasks = _unit_tasks(config, policy, reuse_store)
     effective_jobs = resolve_jobs(jobs)
     if mutate_traces is not None:
         effective_jobs = 1  # the hook must run in-process on real files
     telemetry.emit(
         "study_start",
         jobs=effective_jobs,
-        units=len(dict.fromkeys(config.datasets)),
+        units=len(tasks),
         datasets=list(config.datasets),
         seed=seed,
     )
     try:
         if effective_jobs <= 1:
-            _run_study_sequential(
-                results, policy, mutate_traces, reuse_store, telemetry,
-                window_observer=window_observer,
+            _run_study_inline(
+                results, tasks, telemetry, mutate_traces, window_observer
             )
         else:
             _run_study_parallel(
-                results, policy, reuse_store, effective_jobs, retry, telemetry
+                results, tasks, policy, effective_jobs, retry, telemetry
             )
     finally:
         telemetry.close()
     return results
 
 
-def _run_study_sequential(
+def _run_study_inline(
     results: StudyResults,
-    policy: ErrorPolicy,
-    mutate_traces: Callable[[str, DatasetTraces], None] | None,
-    reuse_store: bool,
+    tasks: list[Task],
     telemetry: TelemetryLog,
-    window_observer: Callable | None = None,
+    mutate_traces: Callable[[str, DatasetTraces], None] | None,
+    window_observer: Callable | None,
 ) -> None:
-    """Today's in-process path: one dataset after another, no workers."""
+    """``jobs=1``: run each dataset unit in this process, one after
+    another.  No retry: a failure raises the unit's own error."""
     config = results.config
     started = time.monotonic()
     store = ConnStore(config.store_dir) if config.store_dir else None
-    enterprise = results.enterprise
-    known_scanners = tuple(
-        host.ip for host in enterprise.servers(Role.SCANNER)
-    )
-    stream = config.stream if config.stream is not None else StreamConfig()
-    for name in config.datasets:
+    for task in tasks:
         unit_started = time.monotonic()
-        telemetry.emit("unit_start", unit=f"dataset:{name}", kind="dataset", attempt=1)
-        gen_key = None
-        if store is not None:
-            gen_key = store.generation_key(
-                name,
-                config.seed,
-                config.scale,
-                config.max_windows,
-                _ANALYZER_NAMES,
-                policy.value,
-                str(ENTERPRISE_NET),
-                known_scanners,
-                engine_config=stream.key_fork(),
-            )
-            if reuse_store and mutate_traces is None:
-                cached = None
-                manifest = store.lookup(gen_key)
-                if manifest is not None and store.sources_intact(
-                    manifest, Path(config.out_dir) if config.out_dir else None
-                ):
-                    cached = store.load_or_none(manifest, policy)
-                if cached is not None:
-                    _adopt_analysis(
-                        results, name, cached.traces, cached.analysis,
-                        out_dir=config.out_dir, relocate=True,
-                    )
-                    telemetry.emit(
-                        "unit_finish",
-                        unit=f"dataset:{name}",
-                        kind="dataset",
-                        status="ok",
-                        attempts=1,
-                        wall_s=round(time.monotonic() - unit_started, 6),
-                        packets=cached.analysis.total_packets,
-                        bytes=0,
-                        cache="hit",
-                    )
-                    continue
-        dataset_traces, analysis, trace_bytes = _generate_and_analyze(
-            name,
-            enterprise,
-            known_scanners,
-            seed=config.seed,
-            scale=config.scale,
-            max_windows=config.max_windows,
-            out_dir=config.out_dir,
-            policy=policy,
+        telemetry.emit("unit_start", unit=task.key, kind=task.kind, attempt=1)
+        dataset_traces, analysis, receipt = _dataset_unit(
+            task.payload,
+            results.enterprise,
+            store,
             mutate_traces=mutate_traces,
-            store=store,
-            gen_key=gen_key if mutate_traces is None else None,
-            stream=stream,
             window_observer=window_observer,
         )
-        _adopt_analysis(results, name, dataset_traces, analysis)
+        _adopt_analysis(
+            results, receipt["dataset"], dataset_traces, analysis,
+            out_dir=config.out_dir, relocate=receipt["cache"] == "hit",
+        )
         telemetry.emit(
             "unit_finish",
-            unit=f"dataset:{name}",
-            kind="dataset",
+            unit=task.key,
+            kind=task.kind,
             status="ok",
             attempts=1,
             wall_s=round(time.monotonic() - unit_started, 6),
-            packets=dataset_traces.total_packets,
-            bytes=trace_bytes,
-            cache="miss" if store is not None else None,
+            **unit_counters(receipt),
         )
     telemetry.emit(
         "study_finish",
@@ -638,44 +642,25 @@ def _run_study_sequential(
 
 def _run_study_parallel(
     results: StudyResults,
+    tasks: list[Task],
     policy: ErrorPolicy,
-    reuse_store: bool,
     jobs: int,
     retry: RetryPolicy | None,
     telemetry: TelemetryLog,
 ) -> None:
-    """The scheduler path: one task per dataset, results via the store
-    (or, without one, as shard bytes in the unit's receipt)."""
+    """``jobs > 1``: the units fan out across worker processes; results
+    come back via the store (or, without one, as shard bytes in the
+    unit's receipt)."""
     config = results.config
-    stream = config.stream if config.stream is not None else StreamConfig()
-    graph = TaskGraph()
-    for name in dict.fromkeys(config.datasets):
-        graph.add(
-            Task(
-                key=f"dataset:{name}",
-                kind="dataset",
-                payload={
-                    "dataset": name,
-                    "seed": config.seed,
-                    "scale": config.scale,
-                    "max_windows": config.max_windows,
-                    "out_dir": config.out_dir,
-                    "error_policy": policy.value,
-                    "store_dir": config.store_dir,
-                    "reuse_store": reuse_store,
-                    "stream": asdict(stream),
-                },
-            )
-        )
+    # Looked up per call, so tests can substitute the worker.
     scheduler = ProcessPoolScheduler(
         _dataset_unit_worker, jobs=jobs, retry=retry, telemetry=telemetry
     )
-    unit_results = scheduler.run(graph)
+    unit_results = scheduler.run(tasks)
     store = ConnStore(config.store_dir) if config.store_dir else None
-    enterprise = results.enterprise
-    known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
-    for name in config.datasets:
-        unit = unit_results[f"dataset:{name}"]
+    for task in tasks:
+        name = task.payload["dataset"]
+        unit = unit_results[task.key]
         if not unit.ok:
             if policy is ErrorPolicy.STRICT:
                 raise IngestionError(
@@ -708,17 +693,10 @@ def _run_study_parallel(
         )
         if cached is None:
             # The worker finished but its shards cannot be read back
-            # (damaged store under a tolerant policy): redo inline.
-            dataset_traces, analysis, _ = _generate_and_analyze(
-                name,
-                enterprise,
-                known_scanners,
-                seed=config.seed,
-                scale=config.scale,
-                max_windows=config.max_windows,
-                out_dir=config.out_dir,
-                policy=policy,
-                stream=stream,
+            # (damaged store under a tolerant policy): redo the unit
+            # here, without the store.
+            dataset_traces, analysis, _ = _dataset_unit(
+                task.payload, results.enterprise, None
             )
             worker_io = int(unit.value.get("io_errors", 0) or 0)
             if worker_io:

@@ -1,5 +1,5 @@
-"""Parallel execution runtime: task graphs, a process-pool scheduler,
-worker fault recovery, and structured progress telemetry.
+"""Parallel execution runtime: independent units, a process-pool
+scheduler, worker fault recovery, and structured progress telemetry.
 
 The paper's datasets are embarrassingly parallel — each tap period is an
 independent trace — and this package encodes that shape as a reusable
@@ -17,13 +17,11 @@ from .scheduler import (
     start_heartbeat,
     stop_heartbeat,
 )
-from .task import Task, TaskGraph, TaskGraphError
+from .task import Task
 from .telemetry import TelemetryLog, follow_events, read_events
 
 __all__ = [
     "Task",
-    "TaskGraph",
-    "TaskGraphError",
     "ProcessPoolScheduler",
     "RetryPolicy",
     "UnitResult",

@@ -1,12 +1,13 @@
 """The process-pool scheduler: fan units out, survive worker faults.
 
-``ProcessPoolScheduler`` runs a :class:`~repro.runtime.task.TaskGraph`
-across ``jobs`` worker processes.  Each unit runs in its own forked
-child (one process per unit, bounded by ``jobs``): a unit that raises,
-dies, or overruns its timeout only costs that unit, never the pool, and
-is retried with exponential backoff before being reported as a failure
-through the :class:`~repro.analysis.errors.ErrorKind` taxonomy
-(``worker_error``) instead of aborting the run.
+``ProcessPoolScheduler`` runs a sequence of independent
+:class:`~repro.runtime.task.Task` units across ``jobs`` worker
+processes.  Each unit runs in its own forked child (one process per
+unit, bounded by ``jobs``; ``jobs=1`` is a pool of one): a unit that
+raises, dies, or overruns its timeout only costs that unit, never the
+pool, and is retried with exponential backoff before being reported as
+a failure through the :class:`~repro.analysis.errors.ErrorKind`
+taxonomy (``worker_error``) instead of aborting the run.
 
 Two watchdog behaviors guard the pool itself (see ``docs/runtime.md``):
 with :attr:`RetryPolicy.heartbeat_timeout` set, every child sends
@@ -18,10 +19,6 @@ kills its worker — is quarantined after :attr:`RetryPolicy.max_crashes`
 hard deaths (crashes plus hang-kills) rather than grinding through
 every retry: it lands in the study's ``unit_failures`` and the pool
 moves on.
-
-With ``jobs=1`` no subprocess is ever created — units run inline in the
-calling process, in dependency order, which keeps single-job runs
-byte-identical to (and as debuggable as) plain sequential code.
 
 The worker callable must be importable at module top level and its
 payloads plain picklable data; results travel back over a pipe, so they
@@ -40,11 +37,11 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from ..analysis.errors import ErrorKind, TraceError
-from .task import Task, TaskGraph
-from .telemetry import COUNTER_KEYS, TelemetryLog
+from .task import Task
+from .telemetry import TelemetryLog, unit_counters
 
 __all__ = [
     "RetryPolicy",
@@ -157,7 +154,7 @@ class UnitResult:
     """What became of one unit: its value, or its accounted failure."""
 
     key: str
-    status: str  # "ok" | "failed" | "skipped"
+    status: str  # "ok" | "failed"
     value: object = None
     attempts: int = 0
     wall_s: float = 0.0
@@ -216,7 +213,7 @@ def _child_main(
 
 
 class ProcessPoolScheduler:
-    """Run a task graph across a bounded pool of worker processes."""
+    """Run independent units across a bounded pool of worker processes."""
 
     def __init__(
         self,
@@ -239,25 +236,28 @@ class ProcessPoolScheduler:
 
     # -- public API --------------------------------------------------------
 
-    def run(self, graph: TaskGraph) -> dict[str, UnitResult]:
+    def run(self, tasks: Sequence[Task]) -> dict[str, UnitResult]:
         """Execute every unit; returns results keyed by unit key.
 
-        Never raises for unit failures — a unit that exhausts its
-        retries yields a ``failed`` :class:`UnitResult` carrying a
-        :class:`~repro.analysis.errors.TraceError` of kind
-        ``worker_error``, and units downstream of it are ``skipped``.
+        Unit keys must be unique (``ValueError`` otherwise, before any
+        work starts).  Never raises for unit failures — a unit that
+        exhausts its retries yields a ``failed`` :class:`UnitResult`
+        carrying a :class:`~repro.analysis.errors.TraceError` of kind
+        ``worker_error``.
         """
-        graph.validate()
+        tasks = list(tasks)
+        seen: set[str] = set()
+        for task in tasks:
+            if task.key in seen:
+                raise ValueError(f"duplicate task key {task.key!r}")
+            seen.add(task.key)
         started = time.monotonic()
-        if self.jobs <= 1:
-            results = self._run_inline(graph)
-        else:
-            results = self._run_pool(graph)
+        results = self._run_pool(tasks)
         self._emit(
             "study_finish",
             wall_s=round(time.monotonic() - started, 6),
             units_ok=sum(1 for r in results.values() if r.ok),
-            units_failed=sum(1 for r in results.values() if r.status == "failed"),
+            units_failed=sum(1 for r in results.values() if not r.ok),
         )
         return results
 
@@ -266,11 +266,6 @@ class ProcessPoolScheduler:
     def _emit(self, event: str, **fields: object) -> None:
         if self.telemetry is not None:
             self.telemetry.emit(event, **fields)
-
-    def _counters(self, value: object) -> dict:
-        if isinstance(value, Mapping):
-            return {key: value.get(key) for key in COUNTER_KEYS}
-        return {key: None for key in COUNTER_KEYS}
 
     def _finish_ok(
         self, task: Task, value: object, attempts: int, wall_s: float
@@ -282,7 +277,7 @@ class ProcessPoolScheduler:
             status="ok",
             attempts=attempts,
             wall_s=round(wall_s, 6),
-            **self._counters(value),
+            **unit_counters(value),
         )
         return UnitResult(task.key, "ok", value, attempts, wall_s)
 
@@ -298,67 +293,11 @@ class ProcessPoolScheduler:
             attempts=attempts,
             wall_s=round(wall_s, 6),
             error=detail,
-            **self._counters(None),
+            **unit_counters(None),
         )
         return UnitResult(task.key, "failed", None, attempts, wall_s, error)
 
-    def _skip(self, task: Task, failed_dep: str) -> UnitResult:
-        detail = f"dependency {failed_dep} failed"
-        self._emit("unit_skipped", unit=task.key, error=detail)
-        return UnitResult(
-            task.key,
-            "skipped",
-            error=TraceError(ErrorKind.WORKER_ERROR, task.key, None, detail),
-        )
-
-    def _failed_dep(
-        self, task: Task, results: dict[str, UnitResult]
-    ) -> str | None:
-        for dep in task.deps:
-            if dep in results and not results[dep].ok:
-                return dep
-        return None
-
-    # -- inline execution (jobs=1) -----------------------------------------
-
-    def _run_inline(self, graph: TaskGraph) -> dict[str, UnitResult]:
-        results: dict[str, UnitResult] = {}
-        for task in graph.topo_order():
-            failed_dep = self._failed_dep(task, results)
-            if failed_dep is not None:
-                results[task.key] = self._skip(task, failed_dep)
-                continue
-            unit_started = time.monotonic()
-            for attempt in range(1, self.retry.max_retries + 2):
-                self._emit(
-                    "unit_start", unit=task.key, kind=task.kind, attempt=attempt
-                )
-                try:
-                    value = self.worker(task.payload)
-                except Exception as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                    if attempt > self.retry.max_retries:
-                        results[task.key] = self._finish_failed(
-                            task, detail, attempt, time.monotonic() - unit_started
-                        )
-                        break
-                    backoff = self.retry.backoff_for(attempt)
-                    self._emit(
-                        "unit_retry",
-                        unit=task.key,
-                        attempt=attempt,
-                        backoff_s=round(backoff, 6),
-                        error=detail,
-                    )
-                    time.sleep(backoff)
-                else:
-                    results[task.key] = self._finish_ok(
-                        task, value, attempt, time.monotonic() - unit_started
-                    )
-                    break
-        return results
-
-    # -- pooled execution (jobs>1) -----------------------------------------
+    # -- pooled execution --------------------------------------------------
 
     def _launch(self, task: Task, attempt: int) -> _Running:
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
@@ -447,7 +386,7 @@ class ProcessPoolScheduler:
             process.kill()
             process.join(timeout=2.0)
 
-    def _run_pool(self, graph: TaskGraph) -> dict[str, UnitResult]:
+    def _run_pool(self, tasks: list[Task]) -> dict[str, UnitResult]:
         results: dict[str, UnitResult] = {}
         running: dict[str, _Running] = {}
         first_start: dict[str, float] = {}
@@ -456,14 +395,12 @@ class ProcessPoolScheduler:
         #: Workers each unit has killed (crashes + hang-kills).
         crashes: dict[str, int] = {}
         try:
-            while len(results) < len(graph):
+            while len(results) < len(tasks):
                 now = time.monotonic()
-                for task in graph.ready(set(results), set(running)):
+                for task in tasks:
                     if len(running) >= self.jobs:
                         break
-                    failed_dep = self._failed_dep(task, results)
-                    if failed_dep is not None:
-                        results[task.key] = self._skip(task, failed_dep)
+                    if task.key in results or task.key in running:
                         continue
                     if retry_at.get(task.key, 0.0) > now:
                         continue

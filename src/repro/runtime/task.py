@@ -1,10 +1,9 @@
 """The unit-of-work model for the parallel execution runtime.
 
-A study decomposes into :class:`Task` units — one per dataset today,
-finer-grained (per-trace) tomorrow — held in a :class:`TaskGraph` that
-validates keys and dependencies up front so the scheduler can assume a
-well-formed DAG.  Payloads must be plain picklable data (dicts, tuples,
-scalars): they cross a process boundary under ``--jobs N``.
+A study decomposes into independent :class:`Task` units, one per
+dataset, handed to the scheduler as a plain sequence whose keys are
+unique.  Payloads must be plain picklable data (dicts, tuples,
+scalars): they cross a process boundary into a worker.
 
 Determinism note: tasks carry no RNG state of their own.  Every unit
 derives its random streams from the *study* seed plus its own stable
@@ -15,14 +14,10 @@ were.  ``docs/runtime.md`` spells out the seeding rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
-__all__ = ["Task", "TaskGraph", "TaskGraphError"]
-
-
-class TaskGraphError(ValueError):
-    """A malformed task graph: duplicate keys, unknown deps, or a cycle."""
+__all__ = ["Task"]
 
 
 @dataclass(frozen=True)
@@ -30,74 +25,11 @@ class Task:
     """One schedulable unit of work.
 
     ``key`` is the unit's stable identity — it names the unit in
-    telemetry events, seeds its RNG streams, and is what dependencies
-    point at.  ``payload`` is the picklable spec handed to the worker
-    callable; ``kind`` groups units for display ("dataset", ...).
+    telemetry events and results, and seeds its RNG streams.
+    ``payload`` is the picklable spec handed to the worker callable;
+    ``kind`` groups units for display ("dataset", ...).
     """
 
     key: str
     payload: Mapping
     kind: str = "unit"
-    deps: tuple[str, ...] = ()
-
-
-@dataclass
-class TaskGraph:
-    """A validated DAG of :class:`Task` units."""
-
-    tasks: dict[str, Task] = field(default_factory=dict)
-
-    def add(self, task: Task) -> Task:
-        """Register one task; duplicate keys are rejected."""
-        if task.key in self.tasks:
-            raise TaskGraphError(f"duplicate task key {task.key!r}")
-        self.tasks[task.key] = task
-        return task
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def __iter__(self) -> Iterator[Task]:
-        return iter(self.tasks.values())
-
-    def validate(self) -> None:
-        """Check every dependency exists and the graph is acyclic."""
-        for task in self.tasks.values():
-            for dep in task.deps:
-                if dep not in self.tasks:
-                    raise TaskGraphError(
-                        f"task {task.key!r} depends on unknown task {dep!r}"
-                    )
-        self.topo_order()
-
-    def topo_order(self) -> list[Task]:
-        """Tasks in dependency order (stable: insertion order breaks ties)."""
-        indegree = {key: len(task.deps) for key, task in self.tasks.items()}
-        dependents: dict[str, list[str]] = {key: [] for key in self.tasks}
-        for task in self.tasks.values():
-            for dep in task.deps:
-                if dep in dependents:
-                    dependents[dep].append(task.key)
-        ready = [key for key in self.tasks if indegree[key] == 0]
-        order: list[Task] = []
-        while ready:
-            key = ready.pop(0)
-            order.append(self.tasks[key])
-            for dependent in dependents[key]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    ready.append(dependent)
-        if len(order) != len(self.tasks):
-            stuck = sorted(set(self.tasks) - {task.key for task in order})
-            raise TaskGraphError(f"dependency cycle involving {stuck}")
-        return order
-
-    def ready(self, done: set[str], running: set[str]) -> list[Task]:
-        """Tasks whose dependencies are all done and that aren't started."""
-        return [
-            task
-            for task in self.tasks.values()
-            if task.key not in done
-            and task.key not in running
-            and all(dep in done for dep in task.deps)
-        ]

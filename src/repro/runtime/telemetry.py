@@ -1,8 +1,8 @@
 """Structured progress telemetry for the execution runtime.
 
-Every scheduler run narrates itself as a stream of flat JSON events —
-one object per line, append-only, so a crashed run still leaves a
-readable prefix.  The same stream drives three consumers:
+Every study run, at any ``jobs`` value, narrates itself as a stream of
+flat JSON events — one object per line, append-only, so a crashed run
+still leaves a readable prefix.  The same stream drives three consumers:
 
 * a JSONL file (``--telemetry PATH``) for offline analysis,
 * live one-line progress on stderr (``--progress``),
@@ -15,12 +15,12 @@ Event schema (all events carry ``event`` and ``ts``, a Unix timestamp)::
     unit_retry    unit, attempt, backoff_s, error
     unit_finish   unit, kind, status, attempts, wall_s,
                   packets, bytes, cache      # counters when known
-    unit_skipped  unit, error                # an upstream dependency failed
     study_finish  wall_s, units_ok, units_failed
 
-``packets`` / ``bytes`` / ``cache`` are filled from the worker's return
-value when it is a mapping carrying those keys (the study's dataset
-worker does); they are ``None`` for workers that return opaque values.
+``packets`` / ``bytes`` / ``cache`` are filled by :func:`unit_counters`
+from the unit's receipt when it is a mapping carrying those keys (the
+study's dataset unit does, in-process and in a worker alike); they are
+``None`` for workers that return opaque values.
 """
 
 from __future__ import annotations
@@ -29,18 +29,32 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from ..chaos import fsio
 from ..report.model import Table
 
-__all__ = ["TelemetryLog", "COUNTER_KEYS", "read_events", "follow_events"]
+__all__ = [
+    "TelemetryLog",
+    "COUNTER_KEYS",
+    "unit_counters",
+    "read_events",
+    "follow_events",
+]
 
-#: Worker-result keys the scheduler copies into ``unit_finish`` events.
+#: Unit-receipt keys copied into ``unit_finish`` events.
 COUNTER_KEYS = ("packets", "bytes", "cache")
 
 #: Events echoed as human-readable progress lines.
 _PROGRESS_EVENTS = {"unit_start", "unit_retry", "unit_finish", "study_finish"}
+
+
+def unit_counters(value: object) -> dict:
+    """The ``unit_finish`` counters of one unit's receipt: every
+    :data:`COUNTER_KEYS` entry of a mapping, all ``None`` otherwise."""
+    if isinstance(value, Mapping):
+        return {key: value.get(key) for key in COUNTER_KEYS}
+    return {key: None for key in COUNTER_KEYS}
 
 
 def read_events(path: str | Path, follow: bool = False, **follow_kwargs):
@@ -267,6 +281,4 @@ class TelemetryLog:
                 record.get("bytes") if record.get("bytes") is not None else "-",
                 record.get("cache") or "-",
             )
-        for record in self.unit_events("unit_skipped"):
-            table.add_row(record["unit"], "skipped", 0, 0.0, "-", "-", "-")
         return table

@@ -17,6 +17,7 @@ from .placement import (
     DEFAULT_HOT_BYTES,
     TIER_MANIFEST,
     PlacementManifest,
+    PlacementManifestError,
     RebalanceReport,
     init_tier,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "HealthTracker",
     "HotTier",
     "PlacementManifest",
+    "PlacementManifestError",
     "QUEUE_FILE",
     "RebalanceReport",
     "ReplicaRepairReport",

@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PlacementManifest",
+    "PlacementManifestError",
     "RebalanceReport",
     "init_tier",
     "TIER_MANIFEST",
@@ -64,6 +65,10 @@ DEFAULT_FAILURE_THRESHOLD = 3
 DEFAULT_COOLDOWN_S = 30.0
 
 _SCHEMA = 1
+
+
+class PlacementManifestError(ValueError):
+    """A ``tier.json`` that exists but cannot be read as a placement."""
 
 
 @dataclass(frozen=True)
@@ -273,7 +278,16 @@ class PlacementManifest:
             payload = json.loads(fsio.read_bytes(path).decode("utf-8"))
         except FileNotFoundError:
             return None
-        return cls.from_payload(payload)
+        except ValueError as exc:  # torn or not JSON (UnicodeError included)
+            raise PlacementManifestError(
+                f"unreadable placement manifest {path}: {exc}"
+            ) from exc
+        try:
+            return cls.from_payload(payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PlacementManifestError(
+                f"invalid placement manifest {path}: {exc!r}"
+            ) from exc
 
     def save(self, primary: Path) -> None:
         """Atomically (re)publish the routing table.

@@ -1,8 +1,9 @@
-"""The execution runtime: task graphs and the process-pool scheduler.
+"""The execution runtime: the unit sequence and the process-pool scheduler.
 
-The load-bearing guarantees: a malformed graph is rejected before any
-work starts; units run across workers with results indexed by key (never
-by completion order); a crashing, raising, or hanging worker costs its
+The load-bearing guarantees: a sequence with a repeated unit key is
+rejected before any work starts; units run across workers (``jobs=1``
+is a pool of one) with results indexed by key (never by completion
+order); a crashing, raising, or hanging worker costs its
 unit a retry — and after the retry budget, a ``worker_error`` failure
 accounted through the PR-1 taxonomy — but never the pool or the run.
 """
@@ -18,8 +19,6 @@ from repro.runtime import (
     ProcessPoolScheduler,
     RetryPolicy,
     Task,
-    TaskGraph,
-    TaskGraphError,
     TelemetryLog,
     resolve_jobs,
 )
@@ -54,52 +53,6 @@ def sleeping_worker(spec):
     return "overslept"
 
 
-def order_recording_worker(spec):
-    with open(spec["log"], "a") as handle:
-        handle.write(spec["name"] + "\n")
-    return spec["name"]
-
-
-# -- the task graph ----------------------------------------------------------
-
-
-class TestTaskGraph:
-    def test_duplicate_keys_rejected(self):
-        graph = TaskGraph()
-        graph.add(Task(key="a", payload={}))
-        with pytest.raises(TaskGraphError, match="duplicate"):
-            graph.add(Task(key="a", payload={}))
-
-    def test_unknown_dependency_rejected(self):
-        graph = TaskGraph()
-        graph.add(Task(key="a", payload={}, deps=("ghost",)))
-        with pytest.raises(TaskGraphError, match="unknown task 'ghost'"):
-            graph.validate()
-
-    def test_cycle_rejected(self):
-        graph = TaskGraph()
-        graph.add(Task(key="a", payload={}, deps=("b",)))
-        graph.add(Task(key="b", payload={}, deps=("a",)))
-        with pytest.raises(TaskGraphError, match="cycle"):
-            graph.validate()
-
-    def test_topo_order_respects_dependencies(self):
-        graph = TaskGraph()
-        graph.add(Task(key="c", payload={}, deps=("a", "b")))
-        graph.add(Task(key="a", payload={}))
-        graph.add(Task(key="b", payload={}, deps=("a",)))
-        order = [task.key for task in graph.topo_order()]
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_ready_excludes_blocked_and_running(self):
-        graph = TaskGraph()
-        graph.add(Task(key="a", payload={}))
-        graph.add(Task(key="b", payload={}, deps=("a",)))
-        assert [t.key for t in graph.ready(set(), set())] == ["a"]
-        assert [t.key for t in graph.ready(set(), {"a"})] == []
-        assert [t.key for t in graph.ready({"a"}, set())] == ["b"]
-
-
 def test_resolve_jobs():
     assert resolve_jobs(None) == os.cpu_count()
     assert resolve_jobs(0) == os.cpu_count()
@@ -110,37 +63,26 @@ def test_resolve_jobs():
 # -- scheduling --------------------------------------------------------------
 
 
-def _graph(n=4, **extra):
-    graph = TaskGraph()
-    for i in range(n):
-        graph.add(Task(key=f"u{i}", payload={"n": i, **extra}))
-    return graph
+def _tasks(n=4, **extra):
+    return [Task(key=f"u{i}", payload={"n": i, **extra}) for i in range(n)]
 
 
 class TestScheduling:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_all_units_complete_keyed_by_unit(self, jobs):
-        results = ProcessPoolScheduler(square_worker, jobs=jobs).run(_graph(5))
+        results = ProcessPoolScheduler(square_worker, jobs=jobs).run(_tasks(5))
         assert set(results) == {f"u{i}" for i in range(5)}
         for i in range(5):
             assert results[f"u{i}"].ok
             assert results[f"u{i}"].value["value"] == i * i
 
-    def test_dependencies_run_before_dependents(self, tmp_path):
-        log = tmp_path / "order.log"
-        graph = TaskGraph()
-        for name in ("late", "early"):  # insertion order is adversarial
-            deps = ("early",) if name == "late" else ()
-            graph.add(
-                Task(
-                    key=name,
-                    payload={"name": name, "log": str(log)},
-                    deps=deps,
-                )
-            )
-        results = ProcessPoolScheduler(order_recording_worker, jobs=2).run(graph)
-        assert all(result.ok for result in results.values())
-        assert log.read_text().splitlines() == ["early", "late"]
+    def test_duplicate_keys_rejected(self):
+        telemetry = TelemetryLog()
+        tasks = [Task(key="a", payload={"n": 1}), Task(key="a", payload={"n": 2})]
+        scheduler = ProcessPoolScheduler(square_worker, jobs=2, telemetry=telemetry)
+        with pytest.raises(ValueError, match="duplicate task key 'a'"):
+            scheduler.run(tasks)
+        assert telemetry.events == []  # rejected before any unit started
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raise_retry_then_failure_speaks_the_taxonomy(self, jobs):
@@ -151,7 +93,7 @@ class TestScheduling:
             retry=RetryPolicy(max_retries=2, backoff=0.01),
             telemetry=telemetry,
         )
-        results = scheduler.run(_graph(2))
+        results = scheduler.run(_tasks(2))
         for key, result in results.items():
             assert result.status == "failed"
             assert result.attempts == 3
@@ -162,14 +104,13 @@ class TestScheduling:
         assert len(retries) == 4  # 2 units x 2 retries
 
     def test_hard_crash_is_retried_then_succeeds(self, tmp_path):
-        graph = TaskGraph()
-        graph.add(
+        tasks = [
             Task(
                 key="flaky",
                 payload={"counter": str(tmp_path / "count"), "crashes": 2},
-            )
-        )
-        graph.add(Task(key="steady", payload={"counter": str(tmp_path / "n"), "crashes": 0}))
+            ),
+            Task(key="steady", payload={"counter": str(tmp_path / "n"), "crashes": 0}),
+        ]
         telemetry = TelemetryLog()
         scheduler = ProcessPoolScheduler(
             crash_until_worker,
@@ -177,7 +118,7 @@ class TestScheduling:
             retry=RetryPolicy(max_retries=2, backoff=0.01),
             telemetry=telemetry,
         )
-        results = scheduler.run(graph)
+        results = scheduler.run(tasks)
         assert results["flaky"].ok
         assert results["flaky"].attempts == 3
         assert results["flaky"].value == {"survived_after": 2}
@@ -191,47 +132,33 @@ class TestScheduling:
         assert all("exit code 13" in event["error"] for event in crash_retries)
 
     def test_hard_crash_exhausts_retries_into_failure(self, tmp_path):
-        graph = TaskGraph()
-        graph.add(
+        tasks = [
             Task(
                 key="doomed",
                 payload={"counter": str(tmp_path / "count"), "crashes": 99},
-            )
-        )
-        graph.add(Task(key="fine", payload={"counter": str(tmp_path / "n"), "crashes": 0}))
+            ),
+            Task(key="fine", payload={"counter": str(tmp_path / "n"), "crashes": 0}),
+        ]
         scheduler = ProcessPoolScheduler(
             crash_until_worker, jobs=2, retry=RetryPolicy(max_retries=1, backoff=0.01)
         )
-        results = scheduler.run(graph)
+        results = scheduler.run(tasks)
         assert results["doomed"].status == "failed"
         assert results["doomed"].error.kind is ErrorKind.WORKER_ERROR
         assert "exit code 13" in results["doomed"].error.detail
         assert results["fine"].ok  # the pool survived its neighbor
 
     def test_timeout_terminates_and_fails_the_unit(self):
-        graph = TaskGraph()
-        graph.add(Task(key="hung", payload={"seconds": 30.0}))
-        graph.add(Task(key="quick", payload={"seconds": 0.0}))
+        tasks = [
+            Task(key="hung", payload={"seconds": 30.0}),
+            Task(key="quick", payload={"seconds": 0.0}),
+        ]
         scheduler = ProcessPoolScheduler(
             sleeping_worker,
             jobs=2,
             retry=RetryPolicy(max_retries=0, backoff=0.01, timeout=0.5),
         )
-        results = scheduler.run(graph)
+        results = scheduler.run(tasks)
         assert results["hung"].status == "failed"
         assert "timed out" in results["hung"].error.detail
         assert results["quick"].ok
-
-    def test_dependents_of_a_failed_unit_are_skipped(self):
-        graph = TaskGraph()
-        graph.add(Task(key="root", payload={"n": 0}))
-        graph.add(Task(key="child", payload={"n": 1}, deps=("root",)))
-        graph.add(Task(key="grandchild", payload={"n": 2}, deps=("child",)))
-        scheduler = ProcessPoolScheduler(
-            raising_worker, jobs=2, retry=RetryPolicy(max_retries=0, backoff=0.01)
-        )
-        results = scheduler.run(graph)
-        assert results["root"].status == "failed"
-        assert results["child"].status == "skipped"
-        assert results["grandchild"].status == "skipped"
-        assert "dependency root failed" in results["child"].error.detail

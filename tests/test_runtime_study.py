@@ -101,6 +101,35 @@ class TestDeterminism:
             assert (seq_dir / rel).read_bytes() == (par_dir / rel).read_bytes(), rel
 
 
+def _receipts(results) -> dict[str, tuple]:
+    """Each unit's ``(packets, bytes, cache)`` from its ``unit_finish``."""
+    return {
+        event["unit"]: (event["packets"], event["bytes"], event["cache"])
+        for event in results.telemetry.unit_events("unit_finish")
+    }
+
+
+class TestReceipts:
+    def test_jobs_1_and_2_report_the_same_receipts(self, tmp_path):
+        """Both paths run the same dataset unit, so a cold store, a warm
+        store and no store each give identical per-unit counters."""
+        runs = {}
+        for jobs in (1, 2):
+            store_dir = str(tmp_path / f"store-{jobs}")
+            runs[jobs] = {
+                "cold": _receipts(run_study(jobs=jobs, store_dir=store_dir, **_PARAMS)),
+                "warm": _receipts(run_study(jobs=jobs, store_dir=store_dir, **_PARAMS)),
+                "none": _receipts(run_study(jobs=jobs, **_PARAMS)),
+            }
+        assert runs[1] == runs[2]
+        runs = runs[1]
+        assert set(runs["cold"]) == {"dataset:D0", "dataset:D1"}
+        for unit, (packets, size, cache) in runs["cold"].items():
+            assert packets > 0 and size > 0 and cache == "miss"
+            assert runs["warm"][unit] == (packets, 0, "hit")
+            assert runs["none"][unit] == (packets, size, None)
+
+
 # -- fault recovery ----------------------------------------------------------
 
 

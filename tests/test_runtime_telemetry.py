@@ -14,7 +14,6 @@ from repro.runtime import (
     ProcessPoolScheduler,
     RetryPolicy,
     Task,
-    TaskGraph,
     TelemetryLog,
 )
 from tests.test_runtime_scheduler import raising_worker, square_worker
@@ -26,16 +25,13 @@ EVENT_SCHEMA = {
     "unit_retry": {"unit", "attempt", "backoff_s", "error"},
     "unit_finish": {"unit", "kind", "status", "attempts", "wall_s",
                     "packets", "bytes", "cache"},
-    "unit_skipped": {"unit", "error"},
     "study_finish": {"wall_s", "units_ok", "units_failed"},
 }
 
 
 def _run(worker, telemetry, jobs=2, retry=None, n=3):
-    graph = TaskGraph()
-    for i in range(n):
-        graph.add(Task(key=f"u{i}", payload={"n": i}, kind="demo"))
-    ProcessPoolScheduler(worker, jobs=jobs, retry=retry, telemetry=telemetry).run(graph)
+    tasks = [Task(key=f"u{i}", payload={"n": i}, kind="demo") for i in range(n)]
+    ProcessPoolScheduler(worker, jobs=jobs, retry=retry, telemetry=telemetry).run(tasks)
 
 
 class TestEventSchema:

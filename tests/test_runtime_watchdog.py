@@ -19,7 +19,6 @@ from repro.runtime import (
     ProcessPoolScheduler,
     RetryPolicy,
     Task,
-    TaskGraph,
     TelemetryLog,
 )
 
@@ -80,8 +79,7 @@ def fine_worker(spec):
 
 
 def test_hung_worker_is_killed_and_requeued(tmp_path):
-    graph = TaskGraph()
-    graph.add(Task(key="wedged", payload={"marker": str(tmp_path / "marker")}))
+    tasks = [Task(key="wedged", payload={"marker": str(tmp_path / "marker")})]
     telemetry = TelemetryLog()
     scheduler = ProcessPoolScheduler(
         stop_self_once_worker,
@@ -89,7 +87,7 @@ def test_hung_worker_is_killed_and_requeued(tmp_path):
         retry=RetryPolicy(max_retries=2, backoff=0.01, heartbeat_timeout=0.5),
         telemetry=telemetry,
     )
-    results = scheduler.run(graph)
+    results = scheduler.run(tasks)
     assert results["wedged"].ok
     assert results["wedged"].value == "recovered"
     assert results["wedged"].attempts == 2
@@ -102,9 +100,10 @@ def test_hung_worker_is_killed_and_requeued(tmp_path):
 def test_hang_detection_is_distinct_from_deadline_timeout(tmp_path):
     """A hang-kill blames the silence, not the clock — and a worker that
     is slow but still beating is never shot."""
-    graph = TaskGraph()
-    graph.add(Task(key="wedged", payload={"marker": str(tmp_path / "marker")}))
-    graph.add(Task(key="slow", payload={"seconds": 1.2}))
+    tasks = [
+        Task(key="wedged", payload={"marker": str(tmp_path / "marker")}),
+        Task(key="slow", payload={"seconds": 1.2}),
+    ]
     scheduler = ProcessPoolScheduler(
         hang_or_sleep_worker,
         jobs=2,
@@ -112,7 +111,7 @@ def test_hang_detection_is_distinct_from_deadline_timeout(tmp_path):
             max_retries=0, backoff=0.01, heartbeat_timeout=0.4, timeout=30.0
         ),
     )
-    results = scheduler.run(graph)
+    results = scheduler.run(tasks)
     # No retries left: the single hang becomes the unit's failure, and
     # its detail names the heartbeat, not the deadline.
     assert results["wedged"].status == "failed"
@@ -123,14 +122,12 @@ def test_hang_detection_is_distinct_from_deadline_timeout(tmp_path):
 
 
 def test_heartbeats_do_not_disturb_results():
-    graph = TaskGraph()
-    for i in range(4):
-        graph.add(Task(key=f"u{i}", payload={}))
+    tasks = [Task(key=f"u{i}", payload={}) for i in range(4)]
     results = ProcessPoolScheduler(
         fine_worker,
         jobs=2,
         retry=RetryPolicy(max_retries=0, backoff=0.01, heartbeat_timeout=0.05),
-    ).run(graph)
+    ).run(tasks)
     assert all(result.ok and result.value == "fine" for result in results.values())
 
 
@@ -138,9 +135,10 @@ def test_heartbeats_do_not_disturb_results():
 
 
 def test_poison_unit_is_quarantined_before_retries_run_out():
-    graph = TaskGraph()
-    graph.add(Task(key="poison", payload={"crash": True}))
-    graph.add(Task(key="healthy", payload={}))
+    tasks = [
+        Task(key="poison", payload={"crash": True}),
+        Task(key="healthy", payload={}),
+    ]
     telemetry = TelemetryLog()
     scheduler = ProcessPoolScheduler(
         crash_flag_worker,
@@ -148,7 +146,7 @@ def test_poison_unit_is_quarantined_before_retries_run_out():
         retry=RetryPolicy(max_retries=10, backoff=0.01, max_crashes=3),
         telemetry=telemetry,
     )
-    results = scheduler.run(graph)
+    results = scheduler.run(tasks)
     poisoned = results["poison"]
     assert poisoned.status == "failed"
     assert poisoned.attempts == 3  # max_crashes, not max_retries + 1
@@ -164,15 +162,14 @@ def test_poison_unit_is_quarantined_before_retries_run_out():
 def test_crash_budget_spans_attempts_but_spares_recoverers(tmp_path):
     """Two crashes then success stays under the default budget of 3 —
     the quarantine must not catch units that do recover."""
-    graph = TaskGraph()
-    graph.add(
+    tasks = [
         Task(key="flaky", payload={"counter": str(tmp_path / "count"), "crashes": 2})
-    )
+    ]
     results = ProcessPoolScheduler(
         crash_until_worker,
         jobs=2,
         retry=RetryPolicy(max_retries=3, backoff=0.01, max_crashes=3),
-    ).run(graph)
+    ).run(tasks)
     assert results["flaky"].ok and results["flaky"].attempts == 3
 
 

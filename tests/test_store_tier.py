@@ -20,6 +20,7 @@ from repro.store.tier import (
     TIER_MANIFEST,
     HotTier,
     PlacementManifest,
+    PlacementManifestError,
     init_tier,
 )
 
@@ -104,6 +105,39 @@ def test_store_without_a_manifest_uses_the_default_placement(tmp_path):
     tiered = ConnStore(tmp_path / "tiered")
     assert tiered.placement.roots == [".", "../b"]
     assert tiered.placement.effective_replicas() == 2
+
+
+_BAD_MANIFESTS = {
+    "torn": '{"roots": [".",',
+    "not-a-placement": '{"assign": {"0": 0}}',
+    "not-an-object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
+def test_unreadable_manifest_is_a_named_error(tmp_path, case):
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / TIER_MANIFEST).write_text(_BAD_MANIFESTS[case])
+    with pytest.raises(PlacementManifestError) as info:
+        ConnStore(root)
+    assert isinstance(info.value, ValueError)
+    assert str(root / TIER_MANIFEST) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "command", [["ls"], ["tier", "status"]], ids=["ls", "tier-status"]
+)
+def test_store_cli_reports_a_torn_manifest(tmp_path, capsys, command):
+    from repro.core.cli import main
+
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / TIER_MANIFEST).write_text(_BAD_MANIFESTS["torn"])
+    assert main(["store", *command, "--store-dir", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable placement manifest")
+    assert "Traceback" not in err
 
 
 def test_fresh_tier_answers_exactly_like_the_flat_store(tmp_path):

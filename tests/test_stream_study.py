@@ -4,8 +4,8 @@ The acceptance bar: checkpointing leaves the rendered study byte for
 byte unchanged; turned-down eviction knobs fork the cache key;
 bounded-table degradation surfaces as typed data-quality rows instead
 of errors; the removed engine switch fails loudly instead of being
-ignored; and the ``stream`` subcommand exposes all of it with live
-window narration on stderr.
+ignored; and the main command exposes all of it, with live window
+narration on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from repro.analysis.engine import StreamConfig
+from repro.analysis.flow import DEFAULT_IDLE_TIMEOUT, DEFAULT_MAX_FLOWS
 from repro.core.cli import main
 from repro.core.study import analyze_dataset, run_study
 from repro.store.cache import ConnStore
@@ -98,12 +99,15 @@ class TestDegradation:
 
 class TestStreamCli:
     def test_stream_subcommand_renders_tables(self, capsys):
+        """The knobs the former ``stream`` subcommand carried are flags
+        of the main command; a run naming them renders the tables."""
         code = main(
             [
-                "stream",
                 "--seed", "7", "--scale", "0.004",
                 "--datasets", "D0",
                 "--max-windows", "1",
+                "--window", "60",
+                "--max-flows", str(DEFAULT_MAX_FLOWS),
                 "--tables", "2",
                 "--figures",
             ]
@@ -113,6 +117,7 @@ class TestStreamCli:
         assert "Table 2" in captured.out
 
     def test_stream_subcommand_matches_main_stdout(self, capsys):
+        """Spelling every knob out at its default changes no byte."""
         flags = [
             "--seed", "7", "--scale", "0.004",
             "--datasets", "D0",
@@ -122,14 +127,19 @@ class TestStreamCli:
         ]
         main(flags)
         main_out = capsys.readouterr().out
-        main(["stream", *flags])
-        stream_out = capsys.readouterr().out
-        assert stream_out == main_out
+        main([
+            *flags,
+            "--window", "60",
+            "--max-flows", str(DEFAULT_MAX_FLOWS),
+            "--idle-timeout", str(DEFAULT_IDLE_TIMEOUT),
+            "--checkpoint-every", "0",
+        ])
+        knob_out = capsys.readouterr().out
+        assert knob_out == main_out
 
     def test_progress_narrates_windows_on_stderr(self, capsys):
         code = main(
             [
-                "stream",
                 "--seed", "7", "--scale", "0.004",
                 "--datasets", "D0",
                 "--max-windows", "1",
@@ -155,7 +165,6 @@ class TestStreamCli:
     def test_checkpoint_flags_reach_the_engine(self, tmp_path, capsys):
         code = main(
             [
-                "stream",
                 "--seed", "7", "--scale", "0.004",
                 "--datasets", "D0",
                 "--max-windows", "1",
