@@ -11,6 +11,9 @@ through the failure drill its design promises to survive:
   feed) is quarantined after three consecutive crashes while its
   neighbor's digest is untouched, and a chaos-free restart finishes the
   quarantined tenant from its published markers;
+* SIGTERM to the daemon process drains it: it exits 0 inside its
+  ``--drain-timeout`` with every tenant ``drained`` or ``done``, and a
+  restart resumes to the same digests;
 * after all of it, ``store gc`` + ``repro store scrub`` come back clean.
 
 Run via ``make daemon-soak``.  CI runs it as the daemon chaos smoke.
@@ -132,6 +135,52 @@ def test_sigkill_mid_window_then_restart_matches_reference(
     emit(
         "daemon soak: 2-tenant daemon SIGKILLed mid-window under a "
         "checkpoint-EIO fault plane; restart resumed to byte-identical "
+        "per-tenant window digests, post-soak store clean"
+    )
+
+
+def test_sigterm_drains_the_daemon_then_restart_matches_reference(
+    traces, tmp_path, reference, emit
+):
+    store = tmp_path / "store"
+    drain_timeout = 10.0
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop(CHAOS_ENV, None)
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro.core.cli",
+         *_daemon_args(store, traces, packet_rate="250",
+                       drain_timeout=str(drain_timeout))],
+        env=env, cwd=_REPO, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(1.5)
+        os.kill(daemon.pid, signal.SIGTERM)  # the daemon only, not its feeds
+        stopped = time.monotonic()
+        out, err = daemon.communicate(timeout=drain_timeout + 20)
+        elapsed = time.monotonic() - stopped
+    finally:
+        if daemon.poll() is None:
+            os.killpg(daemon.pid, signal.SIGKILL)
+            daemon.wait(timeout=30)
+    assert daemon.returncode == 0, err
+    assert elapsed < drain_timeout + 5
+    statuses = dict(
+        line.removeprefix("[daemon] ").split(": ")
+        for line in out.splitlines() if line.startswith("[daemon] ")
+    )
+    assert set(statuses) == {"alpha", "beta"}
+    assert set(statuses.values()) <= {"drained", "done"}
+    assert "drained" in statuses.values()  # the stop landed mid-run
+
+    resumed = _run(_daemon_args(store, traces))
+    assert resumed.returncode == 0, resumed.stderr
+    for name, digest in reference.items():
+        assert tenant_digest(store, name) == digest
+    _assert_store_scrubs_clean(store)
+    emit(
+        f"daemon soak: SIGTERM drained the paced 2-tenant daemon in "
+        f"{elapsed:.1f}s ({statuses}); restart resumed to byte-identical "
         "per-tenant window digests, post-soak store clean"
     )
 

@@ -753,7 +753,7 @@ def _daemon_main(argv: list[str]) -> int:
         parse_flow_budget,
         parse_tenant,
     )
-    from ..runtime.scheduler import RetryPolicy
+    from ..runtime.child import RetryPolicy
     from ..runtime.telemetry import TelemetryLog
 
     args = _build_daemon_parser().parse_args(argv)

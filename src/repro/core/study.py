@@ -9,12 +9,14 @@ With ``store_dir`` set, every finished analysis is sharded into a
 :class:`~repro.store.ConnStore` and subsequent runs rebuild their tables
 from cached shards instead of re-parsing pcaps (see :mod:`repro.store`).
 
-Each dataset is one independent work unit.  ``jobs=1`` runs the units
-in-process, one after another; with ``jobs > 1`` the same units fan out
-across worker processes by the :mod:`repro.runtime` scheduler, and
-results come back as store shards (through the store when one is
-configured, as shard bytes over the result pipe otherwise), so any
-worker count produces byte-identical tables (see ``docs/runtime.md``).
+Each dataset is one independent work unit: a warm lookup in the store,
+or a cold generate-and-analyze step.  Warm units are answered in-process
+at every ``jobs`` value.  ``jobs=1`` runs the cold units in-process, one
+after another; with ``jobs > 1`` they fan out across worker processes
+by the :mod:`repro.runtime` scheduler, and results come back as store
+shards (through the store when one is configured, as shard bytes over
+the result pipe otherwise), so any worker count produces byte-identical
+tables (see ``docs/runtime.md``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from ..report import tables as table_builders
 from ..report.findings import table5 as findings_table5
 from ..report.categories import CategoryBreakdown, category_breakdown
 from ..report.model import CdfFigure, SeriesFigure, Table
-from ..runtime.scheduler import ProcessPoolScheduler, RetryPolicy, resolve_jobs
+from ..runtime.child import RetryPolicy
+from ..runtime.scheduler import ProcessPoolScheduler, UnitResult, resolve_jobs
 from ..runtime.task import Task
 from ..runtime.telemetry import TelemetryLog, unit_counters
 from ..store.cache import ConnStore, assemble_analysis, shard_analysis
@@ -293,12 +296,12 @@ def _adopt_analysis(
     name: str,
     traces: DatasetTraces,
     analysis: DatasetAnalysis,
-    out_dir: str | None = None,
-    relocate: bool = False,
+    relocate: bool,
 ) -> None:
     """File one dataset's products into the results, building its
     category breakdown; with ``relocate`` the (store-relative) trace
-    paths are re-rooted under ``out_dir``."""
+    paths are re-rooted under the study's ``out_dir``."""
+    out_dir = results.config.out_dir
     if relocate and out_dir:
         for trace in traces.traces:
             trace.path = Path(out_dir) / trace.path
@@ -311,24 +314,86 @@ def _adopt_analysis(
     )
 
 
+def _known_scanners(enterprise: Enterprise) -> tuple[int, ...]:
+    return tuple(host.ip for host in enterprise.servers(Role.SCANNER))
+
+
+def _generation_key(spec: Mapping, store: ConnStore, enterprise: Enterprise) -> str:
+    """The store key of one unit's deterministic generate-then-analyze
+    run (``spec`` is the unit's task payload, :func:`_unit_tasks`)."""
+    return store.generation_key(
+        spec["dataset"],
+        spec["seed"],
+        spec["scale"],
+        spec["max_windows"],
+        _ANALYZER_NAMES,
+        spec["error_policy"],
+        str(ENTERPRISE_NET),
+        _known_scanners(enterprise),
+        engine_config=StreamConfig(**spec["stream"]).key_fork(),
+    )
+
+
+def _warm_lookup(
+    spec: Mapping, enterprise: Enterprise, store: ConnStore | None
+) -> tuple[DatasetTraces, DatasetAnalysis, dict] | None:
+    """The warm half of a dataset unit: ``(traces, analysis, receipt)``
+    of a stored entry, or ``None`` when the unit must run cold.
+
+    An entry under the unit's generation key is served when its source
+    pcaps (if kept) still digest-match and its shards load; a damaged
+    shard raises the store's own error under ``strict`` and is a miss
+    under the tolerant policies.
+    """
+    if store is None or not spec["reuse_store"]:
+        return None
+    manifest = store.lookup(_generation_key(spec, store, enterprise))
+    out_dir = spec["out_dir"]
+    if manifest is None or not store.sources_intact(
+        manifest, Path(out_dir) if out_dir else None
+    ):
+        return None
+    cached = store.load_or_none(manifest, ErrorPolicy.coerce(spec["error_policy"]))
+    if cached is None:
+        return None
+    return cached.traces, cached.analysis, {
+        "dataset": spec["dataset"],
+        "manifest_key": manifest["key"],
+        "cache": "hit",
+        "packets": cached.traces.total_packets,
+        "bytes": 0,
+        "io_errors": 0,
+    }
+
+
 def _generate_and_analyze(
-    name: str,
+    spec: Mapping,
     enterprise: Enterprise,
-    known_scanners: tuple[int, ...],
+    store: ConnStore | None,
     *,
-    seed: int,
-    scale: float,
-    max_windows: int | None,
-    out_dir: str | None,
-    policy: ErrorPolicy,
     mutate_traces: Callable[[str, DatasetTraces], None] | None = None,
-    store: ConnStore | None = None,
-    gen_key: str | None = None,
-    stream: StreamConfig | None = None,
     window_observer: Callable | None = None,
-) -> tuple[DatasetTraces, DatasetAnalysis, int]:
-    """Cold-run one dataset: generate its pcaps, analyze, return
-    ``(traces, analysis, pcap bytes written)``."""
+) -> tuple[DatasetTraces, DatasetAnalysis, dict]:
+    """The cold half of a dataset unit: generate its pcaps and analyze
+    them, returning ``(traces, analysis, receipt)``.
+
+    With a ``store`` the analysis is sharded into it under the unit's
+    generation key (none with ``mutate_traces``: mutated traces are not
+    what the key describes).  The receipt holds the picklable outcome,
+    as :func:`_warm_lookup`'s does: ``dataset``, ``manifest_key``,
+    ``cache`` (``hit``/``miss``, ``None`` without a store),
+    ``packets``, pcap ``bytes`` written, and ``io_errors`` the analysis
+    absorbed under a tolerant policy.
+
+    Determinism: the unit reuses the *study* seed; every random stream
+    below it is already keyed by (dataset, window), so the bytes cannot
+    depend on worker count or execution order.
+    """
+    name = spec["dataset"]
+    out_dir = spec["out_dir"]
+    gen_key = None
+    if store is not None and mutate_traces is None:
+        gen_key = _generation_key(spec, store, enterprise)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(out_dir) / name if out_dir else Path(tmp)
         target.mkdir(parents=True, exist_ok=True)
@@ -336,9 +401,9 @@ def _generate_and_analyze(
             name,
             enterprise,
             target,
-            seed=seed,
-            scale=scale,
-            max_windows=max_windows,
+            seed=spec["seed"],
+            scale=spec["scale"],
+            max_windows=spec["max_windows"],
         )
         if mutate_traces is not None:
             mutate_traces(name, dataset_traces)
@@ -350,90 +415,13 @@ def _generate_and_analyze(
         analysis = analyze_dataset(
             name,
             dataset_traces,
-            known_scanners,
-            error_policy=policy,
+            _known_scanners(enterprise),
+            error_policy=spec["error_policy"],
             store=store,
             gen_key=gen_key,
-            stream=stream,
+            stream=StreamConfig(**spec["stream"]),
             window_observer=window_observer,
         )
-    return dataset_traces, analysis, trace_bytes
-
-
-def _dataset_unit(
-    spec: Mapping,
-    enterprise: Enterprise,
-    store: ConnStore | None,
-    *,
-    mutate_traces: Callable[[str, DatasetTraces], None] | None = None,
-    window_observer: Callable | None = None,
-) -> tuple[DatasetTraces, DatasetAnalysis, dict]:
-    """One dataset, start to finish: ``(traces, analysis, receipt)``.
-
-    ``spec`` is the unit's task payload (:func:`_unit_tasks`).  With a
-    study ``store``, a warm entry under the unit's generation key is
-    served when its source pcaps (if kept) still digest-match and its
-    shards load; otherwise the dataset is generated and analyzed, and
-    the analysis is sharded into the store.  ``mutate_traces`` forces
-    the cold path, since the hook must see real trace files.  The
-    receipt holds the picklable outcome: ``dataset``,
-    ``manifest_key``, ``cache`` (``hit``/``miss``, ``None`` without a
-    store), ``packets``, pcap ``bytes`` written, and ``io_errors`` the
-    analysis absorbed under a tolerant policy.
-
-    Determinism: the unit reuses the *study* seed; every random stream
-    below it is already keyed by (dataset, window), so the bytes cannot
-    depend on worker count or execution order.
-    """
-    name = spec["dataset"]
-    seed = spec["seed"]
-    out_dir = spec["out_dir"]
-    policy = ErrorPolicy.coerce(spec["error_policy"])
-    stream = StreamConfig(**spec["stream"])
-    known_scanners = tuple(host.ip for host in enterprise.servers(Role.SCANNER))
-    gen_key = None
-    if store is not None and mutate_traces is None:
-        gen_key = store.generation_key(
-            name,
-            seed,
-            spec["scale"],
-            spec["max_windows"],
-            _ANALYZER_NAMES,
-            policy.value,
-            str(ENTERPRISE_NET),
-            known_scanners,
-            engine_config=stream.key_fork(),
-        )
-        if spec["reuse_store"]:
-            manifest = store.lookup(gen_key)
-            if manifest is not None and store.sources_intact(
-                manifest, Path(out_dir) if out_dir else None
-            ):
-                cached = store.load_or_none(manifest, policy)
-                if cached is not None:
-                    return cached.traces, cached.analysis, {
-                        "dataset": name,
-                        "manifest_key": manifest["key"],
-                        "cache": "hit",
-                        "packets": cached.traces.total_packets,
-                        "bytes": 0,
-                        "io_errors": 0,
-                    }
-    dataset_traces, analysis, trace_bytes = _generate_and_analyze(
-        name,
-        enterprise,
-        known_scanners,
-        seed=seed,
-        scale=spec["scale"],
-        max_windows=spec["max_windows"],
-        out_dir=out_dir,
-        policy=policy,
-        mutate_traces=mutate_traces,
-        store=store,
-        gen_key=gen_key,
-        stream=stream,
-        window_observer=window_observer,
-    )
     return dataset_traces, analysis, {
         "dataset": name,
         "manifest_key": gen_key,
@@ -445,8 +433,8 @@ def _dataset_unit(
 
 
 def _dataset_unit_worker(spec: Mapping) -> dict:
-    """One dataset unit in a forked worker (``jobs > 1``): the picklable
-    receipt of :func:`_dataset_unit`.
+    """A cold dataset unit in a forked worker (``jobs > 1``): the
+    picklable receipt of :func:`_generate_and_analyze`.
 
     With a study store the analysis is sharded into it and the parent
     rebuilds it from the returned manifest key.  Without one, the
@@ -455,7 +443,7 @@ def _dataset_unit_worker(spec: Mapping) -> dict:
     byte-identical whichever way it travelled.
     """
     store = ConnStore(spec["store_dir"]) if spec["store_dir"] else None
-    dataset_traces, analysis, receipt = _dataset_unit(
+    dataset_traces, analysis, receipt = _generate_and_analyze(
         spec, Enterprise(seed=spec["seed"]), store
     )
     if store is None:
@@ -532,10 +520,12 @@ def run_study(
 
     ``jobs`` selects where the per-dataset units run
     (``docs/runtime.md``); every value runs the same unit and renders
-    identical output bytes.  1 (the default) runs them one after
-    another in this process, without retry: a failure raises the unit's
-    own error.  ``N > 1`` fans them out across ``N`` worker processes
-    (0 = all cores); a unit whose worker crashes, raises, or times out
+    identical output bytes.  A warm unit is always answered in this
+    process.  1 (the default) runs the cold units one after another in
+    this process, without retry: a failure raises the unit's own error.
+    ``N > 1`` fans them out across ``N`` worker processes (0 = all
+    cores), forking nothing when every unit is warm; a unit whose
+    worker crashes, raises, or times out
     is retried per ``retry`` (default: twice, exponential backoff) and
     then — under the non-strict policies — quarantined and reported in
     :attr:`StudyResults.unit_failures` and the data-quality section;
@@ -584,80 +574,80 @@ def run_study(
         seed=seed,
     )
     try:
-        if effective_jobs <= 1:
-            _run_study_inline(
-                results, tasks, telemetry, mutate_traces, window_observer
-            )
-        else:
-            _run_study_parallel(
-                results, tasks, policy, effective_jobs, retry, telemetry
-            )
+        _run_units(
+            results, tasks, policy, effective_jobs, retry, telemetry,
+            mutate_traces, window_observer,
+        )
     finally:
         telemetry.close()
     return results
 
 
-def _run_study_inline(
-    results: StudyResults,
-    tasks: list[Task],
-    telemetry: TelemetryLog,
-    mutate_traces: Callable[[str, DatasetTraces], None] | None,
-    window_observer: Callable | None,
-) -> None:
-    """``jobs=1``: run each dataset unit in this process, one after
-    another.  No retry: a failure raises the unit's own error."""
-    config = results.config
-    started = time.monotonic()
-    store = ConnStore(config.store_dir) if config.store_dir else None
-    for task in tasks:
-        unit_started = time.monotonic()
-        telemetry.emit("unit_start", unit=task.key, kind=task.kind, attempt=1)
-        dataset_traces, analysis, receipt = _dataset_unit(
-            task.payload,
-            results.enterprise,
-            store,
-            mutate_traces=mutate_traces,
-            window_observer=window_observer,
-        )
-        _adopt_analysis(
-            results, receipt["dataset"], dataset_traces, analysis,
-            out_dir=config.out_dir, relocate=receipt["cache"] == "hit",
-        )
-        telemetry.emit(
-            "unit_finish",
-            unit=task.key,
-            kind=task.kind,
-            status="ok",
-            attempts=1,
-            wall_s=round(time.monotonic() - unit_started, 6),
-            **unit_counters(receipt),
-        )
-    telemetry.emit(
-        "study_finish",
-        wall_s=round(time.monotonic() - started, 6),
-        units_ok=len(results.analyses),
-        units_failed=0,
-    )
-
-
-def _run_study_parallel(
+def _run_units(
     results: StudyResults,
     tasks: list[Task],
     policy: ErrorPolicy,
     jobs: int,
     retry: RetryPolicy | None,
     telemetry: TelemetryLog,
+    mutate_traces: Callable[[str, DatasetTraces], None] | None,
+    window_observer: Callable | None,
 ) -> None:
-    """``jobs > 1``: the units fan out across worker processes; results
-    come back via the store (or, without one, as shard bytes in the
-    unit's receipt)."""
-    config = results.config
-    # Looked up per call, so tests can substitute the worker.
-    scheduler = ProcessPoolScheduler(
-        _dataset_unit_worker, jobs=jobs, retry=retry, telemetry=telemetry
-    )
-    unit_results = scheduler.run(tasks)
-    store = ConnStore(config.store_dir) if config.store_dir else None
+    """Run every dataset unit and adopt the analyses in study order.
+
+    This process answers each warm unit itself (:func:`_warm_lookup`),
+    at every ``jobs`` value.  At ``jobs=1`` it runs the cold units too,
+    one after another and without retry: a failure raises the unit's
+    own error.  At ``jobs > 1`` only the cold units fan out across
+    worker processes (a study with none builds no pool), and their
+    results come back via the store (or, without one, as shard bytes in
+    the unit's receipt).
+    """
+    store = ConnStore(results.config.store_dir) if results.config.store_dir else None
+    started = time.monotonic()
+    # Units answered here; each value is (traces, analysis, receipt).
+    done: dict[str, UnitResult] = {}
+    for task in tasks:
+        unit_started = time.monotonic()
+        unit = None
+        if mutate_traces is None:
+            unit = _warm_lookup(task.payload, results.enterprise, store)
+        if unit is None and jobs > 1:
+            continue  # a cold unit for the pool
+        telemetry.emit("unit_start", unit=task.key, kind=task.kind, attempt=1)
+        if unit is None:
+            unit = _generate_and_analyze(
+                task.payload,
+                results.enterprise,
+                store,
+                mutate_traces=mutate_traces,
+                window_observer=window_observer,
+            )
+        wall = time.monotonic() - unit_started
+        done[task.key] = UnitResult(task.key, "ok", unit, 1, wall)
+        telemetry.emit(
+            "unit_finish",
+            unit=task.key,
+            kind=task.kind,
+            status="ok",
+            attempts=1,
+            wall_s=round(wall, 6),
+            **unit_counters(unit[2]),
+        )
+    if len(done) < len(tasks):
+        # Looked up per call, so tests can substitute the worker.
+        scheduler = ProcessPoolScheduler(
+            _dataset_unit_worker, jobs=jobs, retry=retry, telemetry=telemetry
+        )
+        unit_results = scheduler.run(tasks, done=done)
+    else:
+        unit_results = done
+        telemetry.emit(
+            "study_finish",
+            wall_s=round(time.monotonic() - started, 6),
+            units_ok=len(done),
+            units_failed=0,
+        )
     for task in tasks:
         name = task.payload["dataset"]
         unit = unit_results[task.key]
@@ -672,6 +662,13 @@ def _run_study_parallel(
             if unit.error is not None:
                 results.unit_failures.append(unit.error)
             continue
+        if task.key in done:
+            dataset_traces, analysis, receipt = unit.value
+            _adopt_analysis(
+                results, name, dataset_traces, analysis,
+                relocate=receipt["cache"] == "hit",
+            )
+            continue
         if store is None:
             entries, trace_shards, dataset_shard = unit.value["shards"]
             cached = assemble_analysis(
@@ -680,22 +677,18 @@ def _run_study_parallel(
                 [decode_trace_shard(data) for data in trace_shards],
                 decode_dataset_shard(dataset_shard),
             )
-            _adopt_analysis(
-                results, name, cached.traces, cached.analysis,
-                out_dir=config.out_dir, relocate=True,
+        else:
+            manifest = store.lookup(unit.value["manifest_key"])
+            cached = (
+                store.load_or_none(manifest, policy)
+                if manifest is not None
+                else None
             )
-            continue
-        manifest = store.lookup(unit.value["manifest_key"])
-        cached = (
-            store.load_or_none(manifest, policy)
-            if manifest is not None
-            else None
-        )
         if cached is None:
             # The worker finished but its shards cannot be read back
             # (damaged store under a tolerant policy): redo the unit
             # here, without the store.
-            dataset_traces, analysis, _ = _dataset_unit(
+            dataset_traces, analysis, _ = _generate_and_analyze(
                 task.payload, results.enterprise, None
             )
             worker_io = int(unit.value.get("io_errors", 0) or 0)
@@ -703,9 +696,8 @@ def _run_study_parallel(
                 analysis.io_errors["shard_publication"] = (
                     analysis.io_errors.get("shard_publication", 0) + worker_io
                 )
-            _adopt_analysis(results, name, dataset_traces, analysis)
+            _adopt_analysis(results, name, dataset_traces, analysis, relocate=False)
             continue
         _adopt_analysis(
-            results, name, cached.traces, cached.analysis,
-            out_dir=config.out_dir, relocate=True,
+            results, name, cached.traces, cached.analysis, relocate=True
         )

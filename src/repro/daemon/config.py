@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runtime.scheduler import RetryPolicy
+from ..runtime.child import RetryPolicy
 from ..analysis.flow import DEFAULT_MAX_FLOWS
 from .alerts import AlertRule, parse_alert_rule
 
@@ -90,7 +90,8 @@ class DaemonConfig:
     #: mid-window" deterministic for tests and keeps a replayed trace
     #: behaving like a live capture.
     packet_rate: float = 0.0
-    #: Supervision policy, reused verbatim from the runtime scheduler:
+    #: Supervision policy, the same one the pool scheduler's children
+    #: run under (:mod:`repro.runtime.child`):
     #: ``backoff``/``backoff_for`` drive feed-restart delays,
     #: ``heartbeat_timeout``/``heartbeat_interval`` drive the feed
     #: watchdog, and ``max_crashes`` is the poison-feed quarantine

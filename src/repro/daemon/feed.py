@@ -17,13 +17,12 @@ kinds of durable artifacts under ``<store>/daemon/<tenant>/``:
   gap merely reprocesses one trace into identical artifacts.
 * ``result.json`` — the whole-feed rollup, written last.
 
-Progress flows back to the supervisor over the fork pipe using the
-scheduler's own wire idiom: ``("hb", ts)`` liveness beats (reusing
-:func:`~repro.runtime.scheduler.start_heartbeat`) interleaved with
-``("msg", kind, payload)`` progress messages.  SIGTERM sets the
-engine's drain event: the feed flushes a final checkpoint mid-trace,
-reports ``drained``, and exits — that is the daemon's graceful
-shutdown.
+The feed is a :mod:`repro.runtime.child` child, like a pool unit:
+``(kind, payload)`` progress messages flow back over the child's pipe,
+interleaved with the child module's ``("hb", ts)`` liveness beats.
+SIGTERM sets the engine's drain event: the feed flushes a final
+checkpoint mid-trace, reports ``drained``, and exits — that is the
+daemon's graceful shutdown.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from pathlib import Path
 from ..analysis.errors import IngestionError, TraceQuarantined
 from ..chaos import fsio
 from ..pcap.reader import PcapReader
-from ..runtime.scheduler import start_heartbeat, stop_heartbeat
 from ..store.cache import DAEMON_DIR, ConnStore
 from ..analysis.engine import DatasetAnalyzer, StreamConfig, StreamDrained
 from ..stream.source import PacketSource
@@ -319,49 +317,22 @@ def _rollup(base: Path, tenant: str) -> dict:
     }
 
 
-def feed_child(conn, payload: dict) -> None:
-    """Child-process entry: heartbeats, SIGTERM-to-drain, run the feed.
+def feed_child(send, payload: dict) -> None:
+    """A feed's child body (see :func:`repro.runtime.child.child_entry`).
 
-    Mirrors the scheduler's ``_child_main`` contract — ``("hb", ts)``
-    pings plus messages over ``conn``, heartbeat wound down promptly on
-    exit — with one addition: SIGTERM flips the engine's drain event
-    instead of killing the process, so the final checkpoint gets
-    flushed before exit.
+    SIGTERM flips the engine's drain event instead of killing the
+    process, so the final checkpoint gets flushed before exit.  A feed
+    that fails reports an ``error`` message and exits with code 1.
     """
     drain = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: drain.set())
-    send_lock = threading.Lock()
-
-    def send(kind: str, body: dict) -> None:
-        try:
-            with send_lock:
-                conn.send(("msg", kind, body))
-        except OSError:
-            pass  # supervisor went away; keep publishing to disk anyway
-
-    beat = stop = None
-    interval = payload.get("heartbeat_interval")
-    if interval is not None:
-        beat, stop = start_heartbeat(conn, send_lock, interval)
-    code = 0
     try:
-        run_feed(payload, drain, send)
-    except IngestionError as exc:
-        send("error", {
-            "tenant": payload["tenant"],
-            "kind": exc.kind.value,
-            "detail": str(exc),
-        })
-        code = 1
+        run_feed(payload, drain, lambda kind, body: send((kind, body)))
     except Exception as exc:
-        send("error", {
+        typed = isinstance(exc, IngestionError)
+        send(("error", {
             "tenant": payload["tenant"],
-            "kind": "worker_error",
-            "detail": f"{type(exc).__name__}: {exc}",
-        })
-        code = 1
-    finally:
-        stop_heartbeat(beat, stop)
-        conn.close()
-    if code:
-        sys.exit(code)
+            "kind": exc.kind.value if typed else "worker_error",
+            "detail": str(exc) if typed else f"{type(exc).__name__}: {exc}",
+        }))
+        sys.exit(1)

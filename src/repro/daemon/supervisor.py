@@ -8,7 +8,7 @@ per tenant and then does only four things, forever:
   clock, progress messages become typed telemetry events, and window
   messages additionally run through the :class:`~repro.daemon.alerts.AlertEngine`.
 * **restart** — a feed that dies without finishing is relaunched with
-  the :class:`~repro.runtime.scheduler.RetryPolicy` exponential backoff
+  the :class:`~repro.runtime.child.RetryPolicy` exponential backoff
   (the same curve the pool scheduler uses).  Completing a trace resets
   the crash streak: only *consecutive* failures count toward poison.
 * **quarantine** — a feed that crashes ``retry.max_crashes`` times in a
@@ -19,27 +19,29 @@ per tenant and then does only four things, forever:
   isolation guarantee is structural (separate processes, separate flow
   tables, separate artifact trees), and the supervisor preserves it by
   never blocking its loop on any single feed.
-* **drain** — SIGTERM (or :meth:`request_stop`) forwards SIGTERM to
-  every live feed; each flushes a final mid-trace checkpoint and exits,
-  and feeds that overstay ``drain_timeout`` are killed.  A drained
-  daemon resumes from those checkpoints on the next start.
+* **drain** — SIGTERM (or :meth:`request_stop`) cancels every pending
+  restart and forwards SIGTERM to every live feed; each flushes a final
+  mid-trace checkpoint and exits, and feeds that overstay
+  ``drain_timeout`` are killed.  A drained daemon resumes from those
+  checkpoints on the next start.
 
-The watchdog is the scheduler's heartbeat protocol verbatim: feeds beat
-``("hb", ts)`` every ``retry.heartbeat_interval`` seconds, and a feed
-silent past ``retry.heartbeat_timeout`` while still alive is SIGKILLed
-and treated as a crash.
+Each feed is a :mod:`repro.runtime.child` child, the same supervised
+life cycle the pool scheduler drives: feeds beat ``("hb", ts)`` every
+``retry.heartbeat_interval`` seconds, a feed silent past
+``retry.heartbeat_timeout`` while still alive is SIGKILLed and treated
+as a crash, and :meth:`~repro.runtime.child.RetryPolicy.restart_after`
+turns the crash streak into a backoff or a quarantine.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import multiprocessing.connection
 import signal
 import time
 from pathlib import Path
 
 from ..analysis.errors import ErrorKind
+from ..runtime.child import Child, wait
 from ..runtime.telemetry import TelemetryLog
 from .alerts import AlertEngine
 from .config import DaemonConfig, TenantSpec
@@ -80,14 +82,12 @@ class FeedState:
 
     def __init__(self, spec: TenantSpec) -> None:
         self.spec = spec
-        self.process = None
-        self.conn = None
+        self.child: Child | None = None
         self.status = "pending"  # pending|running|backoff|<terminal>
         self.attempts = 0
         #: Consecutive crashes with no trace completed in between.
         self.streak = 0
         self.restart_at = 0.0
-        self.last_beat = 0.0
         self.traces_done = 0
         #: Set when the feed reported an orderly outcome this run.
         self.outcome: str | None = None
@@ -127,10 +127,6 @@ class DaemonSupervisor:
         self._next_maintenance = 0.0
         self._maintenance_scrubber = None
         self._maintenance_store = None
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -194,30 +190,13 @@ class DaemonSupervisor:
             now = time.monotonic()
             if self._stop:
                 self._drain(now)
-            for state in feeds.values():
-                if state.status == "pending" or (
-                    state.status == "backoff" and state.restart_at <= now
-                ):
-                    if self._stop:
-                        # A drain aborts pending restarts: the feed's
-                        # checkpoints already capture its progress.
-                        state.status = "drained"
-                        continue
-                    self._launch(state)
-            live = [st.conn for st in feeds.values() if st.alive]
-            if live:
-                multiprocessing.connection.wait(live, timeout=_POLL_SECONDS)
             else:
-                waits = [
-                    st.restart_at
-                    for st in feeds.values()
-                    if st.status == "backoff"
-                ]
-                if waits:
-                    time.sleep(
-                        max(0.0, min(min(waits) - time.monotonic(),
-                                     _POLL_SECONDS))
-                    )
+                for state in feeds.values():
+                    if state.status == "pending" or (
+                        state.status == "backoff" and state.restart_at <= now
+                    ):
+                        self._launch(state)
+            wait([st.child for st in feeds.values() if st.alive], _POLL_SECONDS)
             for state in feeds.values():
                 if state.alive:
                     self._service(state)
@@ -282,7 +261,6 @@ class DaemonSupervisor:
             "checkpoint_every": self.config.checkpoint_every,
             "error_policy": self.config.error_policy,
             "packet_rate": self.config.packet_rate,
-            "heartbeat_interval": self.config.retry.heartbeat_interval,
             "source": str(spec.source),
             "watch": self.config.watch,
             "watch_interval": self.config.watch_interval,
@@ -291,20 +269,15 @@ class DaemonSupervisor:
     def _launch(self, state: FeedState) -> None:
         spec = state.spec
         payload = self._feed_payload(spec)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=feed_child,
-            args=(child_conn, payload),
+        state.child = Child(
+            feed_child,
+            payload,
             name=f"repro-feed-{spec.name}",
+            retry=self.config.retry,
         )
-        process.start()
-        child_conn.close()
-        state.process = process
-        state.conn = parent_conn
         state.attempts += 1
         state.status = "running"
         state.outcome = None
-        state.last_beat = time.monotonic()
         self.telemetry.emit(
             "feed_start",
             tenant=spec.name,
@@ -315,32 +288,22 @@ class DaemonSupervisor:
     # -- servicing one feed ------------------------------------------------
 
     def _service(self, state: FeedState) -> None:
+        child = state.child
         self._drain_messages(state)
-        now = time.monotonic()
-        retry = self.config.retry
-        if (
-            retry.heartbeat_timeout is not None
-            and state.process.exitcode is None
-            and now - state.last_beat > retry.heartbeat_timeout
-        ):
-            silent = now - state.last_beat
+        silent = child.hung()
+        if silent is not None:
             self.telemetry.emit(
                 "feed_hang",
                 tenant=state.spec.name,
                 silent_s=round(silent, 3),
             )
-            # Too wedged to beat is too wedged for SIGTERM.
-            state.process.kill()
-            state.process.join(timeout=2.0)
-        if state.process.exitcode is None:
+        exitcode = child.process.exitcode
+        if exitcode is None:
             return
         # The feed is dead: collect trailing messages, then classify.
-        state.process.join(timeout=2.0)
         self._drain_messages(state)
-        state.conn.close()
-        exitcode = state.process.exitcode
-        state.process = None
-        state.conn = None
+        child.stop()
+        state.child = None
         if state.outcome == "done":
             state.status = "done"
             state.streak = 0
@@ -368,10 +331,10 @@ class DaemonSupervisor:
             crashes=state.streak,
             kind=ErrorKind.WORKER_ERROR.value,
         )
-        if state.streak >= self.config.retry.max_crashes:
+        backoff = self.config.retry.restart_after(state.streak, state.streak)
+        if backoff is None:
             self._quarantine(state, exitcode)
             return
-        backoff = self.config.retry.backoff_for(state.streak)
         state.status = "backoff"
         state.restart_at = time.monotonic() + backoff
         self.telemetry.emit(
@@ -382,20 +345,9 @@ class DaemonSupervisor:
         )
 
     def _drain_messages(self, state: FeedState) -> None:
-        conn = state.conn
-        while conn.poll():
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if not isinstance(message, tuple) or not message:
-                continue
-            if message[0] == "hb" and len(message) == 2:
-                state.last_beat = time.monotonic()
-                continue
-            if message[0] == "msg" and len(message) == 3:
-                self._last_activity = time.monotonic()
-                self._handle(state, message[1], message[2])
+        while (message := state.child.poll()) is not None:
+            self._last_activity = time.monotonic()
+            self._handle(state, *message)
 
     def _handle(self, state: FeedState, kind: str, body: dict) -> None:
         tenant = state.spec.name
@@ -477,28 +429,24 @@ class DaemonSupervisor:
             pass  # the telemetry event already recorded the quarantine
 
     def _drain(self, now: float) -> None:
-        """Forward SIGTERM once; escalate to SIGKILL past the deadline."""
-        if self._drain_deadline is None:
+        """Cancel pending restarts, forward SIGTERM once, and escalate
+        to SIGKILL past the deadline."""
+        first = self._drain_deadline is None
+        if first:
             self._drain_deadline = now + self.config.drain_timeout
-            for state in self.feeds.values():
-                if state.alive and state.process.exitcode is None:
-                    state.process.terminate()  # the feed's drain hook
-        elif now > self._drain_deadline:
-            for state in self.feeds.values():
-                if state.alive and state.process.exitcode is None:
-                    state.process.kill()
+        for state in self.feeds.values():
+            if state.status in ("pending", "backoff"):
+                # The feed's checkpoints already capture its progress.
+                state.status = "drained"
+            elif state.alive and state.child.process.exitcode is None:
+                if first:
+                    state.child.process.terminate()  # the feed's drain hook
+                elif now > self._drain_deadline:
+                    state.child.process.kill()
 
     def _reap_all(self) -> None:
-        """Terminate anything still running (abnormal loop exit)."""
+        """Stop anything still running (abnormal loop exit)."""
         for state in self.feeds.values():
-            process = state.process
-            if process is not None and process.exitcode is None:
-                process.terminate()
-                process.join(timeout=2.0)
-                if process.exitcode is None:
-                    process.kill()
-                    process.join(timeout=2.0)
-            if state.conn is not None:
-                state.conn.close()
-                state.conn = None
-            state.process = None
+            if state.child is not None:
+                state.child.stop()
+                state.child = None

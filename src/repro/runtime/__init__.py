@@ -5,18 +5,14 @@ The paper's datasets are embarrassingly parallel — each tap period is an
 independent trace — and this package encodes that shape as a reusable
 subsystem: split work into seeded :class:`Task` units, fan them out
 across processes with :class:`ProcessPoolScheduler`, and account every
-fault through the ingestion error taxonomy instead of aborting.  See
+fault through the ingestion error taxonomy instead of aborting.  Every
+child process — a pool unit or a daemon feed — runs through one
+supervised life cycle, :mod:`repro.runtime.child`.  See
 ``docs/runtime.md``.
 """
 
-from .scheduler import (
-    ProcessPoolScheduler,
-    RetryPolicy,
-    UnitResult,
-    resolve_jobs,
-    start_heartbeat,
-    stop_heartbeat,
-)
+from .child import RetryPolicy
+from .scheduler import ProcessPoolScheduler, UnitResult, resolve_jobs
 from .task import Task
 from .telemetry import TelemetryLog, follow_events, read_events
 
@@ -26,8 +22,6 @@ __all__ = [
     "RetryPolicy",
     "UnitResult",
     "resolve_jobs",
-    "start_heartbeat",
-    "stop_heartbeat",
     "TelemetryLog",
     "follow_events",
     "read_events",

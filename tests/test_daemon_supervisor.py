@@ -104,6 +104,15 @@ def freeze_once(marker: Path):
     return wrapper
 
 
+def ignore_sigterm():
+    """A run_feed wrapper that ignores SIGTERM (so never drains) and
+    sleeps; its heartbeat thread keeps beating."""
+    def wrapper(payload, drain, send):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(60)  # only the drain's SIGKILL ends this
+    return wrapper
+
+
 class TestHappyPath:
     def test_two_tenants_run_to_done(self, dataset, tmp_path):
         tenants = [
@@ -288,6 +297,61 @@ class TestDrain:
         assert resumed == {"alpha": "done", "beta": "done"}
         for name, digest in reference.items():
             assert tenant_digest(store, name) == digest
+
+
+    def test_drain_cancels_a_pending_restart(self, dataset, tmp_path,
+                                             monkeypatch):
+        """A feed waiting out a long restart backoff is drained at once,
+        not after the backoff."""
+        monkeypatch.setattr(
+            feed_module, "run_feed", crash_until(tmp_path / "crashes", 1),
+        )
+        telemetry = TelemetryLog()
+        supervisor = DaemonSupervisor(
+            [TenantSpec("flaky", dataset.traces[0].path)], tmp_path / "store",
+            config=fast_config(
+                retry=RetryPolicy(backoff=20.0, heartbeat_timeout=5.0,
+                                  max_crashes=3),
+                drain_timeout=2.0,
+            ),
+            telemetry=telemetry,
+        )
+        stopped = []
+
+        def stop():
+            stopped.append(time.monotonic())
+            supervisor.request_stop()
+
+        threading.Timer(1.0, stop).start()
+        statuses = supervisor.run(install_signals=False)
+        assert time.monotonic() - stopped[0] < 1.0  # well inside drain_timeout
+        assert statuses == {"flaky": "drained"}
+        assert len(telemetry.unit_events("feed_start")) == 1
+        assert [e["backoff_s"] for e in telemetry.unit_events("feed_restart")] == [20.0]
+
+    def test_feed_ignoring_sigterm_is_killed_at_the_drain_timeout(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(feed_module, "run_feed", ignore_sigterm())
+        telemetry = TelemetryLog()
+        supervisor = DaemonSupervisor(
+            [TenantSpec("deaf", dataset.traces[0].path)], tmp_path / "store",
+            config=fast_config(drain_timeout=1.0),
+            telemetry=telemetry,
+        )
+        stopped = []
+
+        def stop():
+            stopped.append(time.monotonic())
+            supervisor.request_stop()
+
+        threading.Timer(0.5, stop).start()
+        statuses = supervisor.run(install_signals=False)
+        elapsed = time.monotonic() - stopped[0]
+        assert 1.0 <= elapsed < 1.0 + 5.0
+        assert statuses == {"deaf": "drained"}
+        assert telemetry.unit_events("feed_crash") == []
+        assert len(telemetry.unit_events("feed_start")) == 1
 
 
 class TestTenantParsing:

@@ -53,6 +53,16 @@ def sleeping_worker(spec):
     return "overslept"
 
 
+def sigterm_ignoring_worker(spec):
+    """Ignores SIGTERM, then oversleeps: only SIGKILL ends it."""
+    import signal
+    import time
+
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    time.sleep(spec["seconds"])
+    return "overslept"
+
+
 def test_resolve_jobs():
     assert resolve_jobs(None) == os.cpu_count()
     assert resolve_jobs(0) == os.cpu_count()
@@ -162,3 +172,22 @@ class TestScheduling:
         assert results["hung"].status == "failed"
         assert "timed out" in results["hung"].error.detail
         assert results["quick"].ok
+
+    def test_timeout_escalates_to_sigkill_when_sigterm_is_ignored(self):
+        import time
+
+        from repro.runtime.child import _JOIN_SECONDS
+
+        timeout = 0.5
+        scheduler = ProcessPoolScheduler(
+            sigterm_ignoring_worker,
+            jobs=1,
+            retry=RetryPolicy(max_retries=0, backoff=0.01, timeout=timeout),
+        )
+        started = time.monotonic()
+        results = scheduler.run([Task(key="deaf", payload={"seconds": 30.0})])
+        elapsed = time.monotonic() - started
+        assert results["deaf"].status == "failed"
+        assert "timed out" in results["deaf"].error.detail
+        # SIGTERM is ignored for one grace period, then SIGKILL lands.
+        assert timeout + _JOIN_SECONDS <= elapsed < timeout + 2 * _JOIN_SECONDS + 2.0

@@ -21,6 +21,7 @@ from repro.analysis.errors import ErrorKind, IngestionError
 from repro.core.cli import main
 from repro.core.study import _dataset_unit_worker, run_study
 from repro.runtime import RetryPolicy
+from repro.store import ConnStore, ShardError
 
 _PARAMS = dict(seed=7, scale=0.004, datasets=("D0", "D1"), max_windows=2)
 _TABLES = (1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
@@ -46,6 +47,11 @@ def _crash_d1_worker(spec):
     if spec["dataset"] == "D1":
         os._exit(23)
     return _dataset_unit_worker(spec)
+
+
+def _always_crash_worker(spec):
+    """A dataset worker that dies hard on every call."""
+    os._exit(31)
 
 
 # -- determinism -------------------------------------------------------------
@@ -128,6 +134,38 @@ class TestReceipts:
             assert packets > 0 and size > 0 and cache == "miss"
             assert runs["warm"][unit] == (packets, 0, "hit")
             assert runs["none"][unit] == (packets, size, None)
+
+
+class TestWarmUnits:
+    def test_warm_units_never_fork(self, tmp_path, monkeypatch):
+        """A warm ``jobs=2`` study is answered in the parent: with every
+        worker dying on launch it still renders the ``jobs=1`` digest."""
+        store_dir = str(tmp_path / "store")
+        reference = _study_digest(run_study(jobs=1, store_dir=store_dir, **_PARAMS))
+        monkeypatch.setattr(
+            study_module, "_dataset_unit_worker", _always_crash_worker
+        )
+        warm = run_study(jobs=2, store_dir=store_dir, retry=_FAST_RETRY, **_PARAMS)
+        assert _study_digest(warm) == reference
+        assert list(warm.analyses) == list(_PARAMS["datasets"])
+        receipts = _receipts(warm)
+        assert set(receipts) == {"dataset:D0", "dataset:D1"}
+        assert {cache for _, _, cache in receipts.values()} == {"hit"}
+        finish = warm.telemetry.unit_events("study_finish")
+        assert [(e["units_ok"], e["units_failed"]) for e in finish] == [(2, 0)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_damaged_warm_shard_raises_the_store_error_under_strict(
+        self, tmp_path, jobs
+    ):
+        store_dir = tmp_path / "store"
+        run_study(jobs=1, store_dir=str(store_dir), **_PARAMS)
+        store = ConnStore(store_dir)
+        manifest = next(iter(store.manifests()))
+        victim = store._object_path(manifest["traces"][0]["shard"])
+        victim.write_bytes(victim.read_bytes()[:-16])
+        with pytest.raises(ShardError):
+            run_study(jobs=jobs, store_dir=str(store_dir), retry=_FAST_RETRY, **_PARAMS)
 
 
 # -- fault recovery ----------------------------------------------------------

@@ -179,15 +179,16 @@ def test_crash_budget_spans_attempts_but_spares_recoverers(tmp_path):
 def test_heartbeat_thread_stops_promptly_on_normal_exit():
     """A finished worker must not leave its beat thread running — in a
     long-lived daemon feed that thread would outlive the work and die
-    noisily at interpreter teardown.  ``_child_main`` joins it out."""
+    noisily at interpreter teardown.  ``child_entry`` joins it out."""
     import multiprocessing
     import threading
 
+    from repro.runtime.child import child_entry
     from repro.runtime.scheduler import _child_main
 
     parent, child = multiprocessing.Pipe(duplex=False)
     before = {t for t in threading.enumerate() if t.name == "hb"}
-    _child_main(child, fine_worker, {}, heartbeat_interval=0.02)
+    child_entry(child, 0.02, _child_main, fine_worker, {})
     after = [
         t for t in threading.enumerate()
         if t.name == "hb" and t not in before and t.is_alive()
@@ -207,7 +208,7 @@ def test_start_stop_heartbeat_round_trip():
     import multiprocessing
     import threading
 
-    from repro.runtime.scheduler import start_heartbeat, stop_heartbeat
+    from repro.runtime.child import start_heartbeat, stop_heartbeat
 
     parent, child = multiprocessing.Pipe(duplex=False)
     thread, stop = start_heartbeat(child, threading.Lock(), 0.01)
