@@ -61,8 +61,8 @@ stream-bench:
 service-bench:
 	PYTHONPATH=src python -m pytest benchmarks/test_service_bench.py -q -s
 
-# Hot-tier reads vs the cold multi-root path (floor 3x) and checkpoint
-# batch-chain compaction; writes BENCH_tier.json.
+# Checkpoint batch-chain compaction on a three-root tiered store (the
+# chain must fold to one shard); writes BENCH_tier.json.
 tier-bench:
 	PYTHONPATH=src python -m pytest benchmarks/test_tier_bench.py -q -s
 

@@ -1,10 +1,9 @@
-"""Tiered store: hot-tier read speedup and compaction chain reduction.
+"""Tiered store: compaction chain reduction on a multi-root store.
 
-Run via ``make tier-bench``.  Writes ``BENCH_tier.json`` with the two
-numbers the tier exists for: how much faster a hot-tier read is than
-the cold multi-root path (open + read + content re-verify at whichever
-root placement routed the shard to), and how far compaction folds a
-streaming checkpoint's batch chain.
+Run via ``make tier-bench``.  Writes ``BENCH_tier.json`` with how far
+compaction folds a streaming checkpoint's batch chain, and how long the
+chain takes to load before and after, on a store whose objects placement
+spread over three roots.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ from repro.store import compact_checkpoints
 from repro.store.tier import init_tier
 from repro.stream.checkpoint import StreamCheckpointer
 
-#: The acceptance floor: hot reads must beat cold reads by this factor.
-_MIN_SPEEDUP = 3.0
 _OBJECTS = 192
-_ROUNDS = 5
 _BATCHES = 16
 
 
@@ -34,12 +30,10 @@ def _seed_tiered(tmp_path):
         tmp_path / "store",
         roots=(str(tmp_path / "root-b"), str(tmp_path / "root-c")),
     )
-    digests = [
+    for index in range(_OBJECTS):
         store.put_object(f"shard-{index:05d}".encode() * 257)
-        for index in range(_OBJECTS)
-    ]
     store.rebalance()
-    return store, digests
+    return store
 
 
 def _finished_results(tmp_path):
@@ -73,28 +67,10 @@ def _finished_results(tmp_path):
 
 
 def test_tier_bench(tmp_path, output_dir, emit):
-    store, digests = _seed_tiered(tmp_path)
+    store = _seed_tiered(tmp_path)
     status = store.tier_status()
     assert sum(root["objects"] for root in status["roots"]) == _OBJECTS
     assert all(root["objects"] > 0 for root in status["roots"])
-
-    # Cold path: every read opens, reads, and re-verifies at its root.
-    t0 = time.perf_counter()
-    for _ in range(_ROUNDS):
-        store.hot.clear()
-        for digest in digests:
-            store.get_object(digest)
-    cold_s = (time.perf_counter() - t0) / _ROUNDS
-
-    # Hot path: same reads served from the verified byte cache.
-    for digest in digests:
-        store.get_object(digest)
-    t0 = time.perf_counter()
-    for _ in range(_ROUNDS):
-        for digest in digests:
-            store.get_object(digest)
-    hot_s = (time.perf_counter() - t0) / _ROUNDS
-    speedup = cold_s / hot_s
 
     # Compaction: a 16-batch checkpoint chain folds to one super-shard.
     results = _finished_results(tmp_path)
@@ -111,20 +87,13 @@ def test_tier_bench(tmp_path, output_dir, emit):
         loaded.load_batches()
         return time.perf_counter() - start
 
-    store.hot.clear()
     load_before_s = _chain_load_seconds()
     report = compact_checkpoints(store, grace_s=0)
-    store.hot.clear()
     load_after_s = _chain_load_seconds()
 
     payload = {
         "objects": _OBJECTS,
         "roots": len(status["roots"]),
-        "rounds": _ROUNDS,
-        "cold_ms_per_round": round(cold_s * 1e3, 3),
-        "hot_ms_per_round": round(hot_s * 1e3, 3),
-        "hot_speedup": round(speedup, 2),
-        "hot_speedup_floor": _MIN_SPEEDUP,
         "compaction": {
             "batches_before": batches_before,
             "batches_after": report.batches_after,
@@ -132,23 +101,16 @@ def test_tier_bench(tmp_path, output_dir, emit):
             "chain_load_before_ms": round(load_before_s * 1e3, 3),
             "chain_load_after_ms": round(load_after_s * 1e3, 3),
         },
-        "hot_tier": store.hot.stats(),
     }
     (output_dir / "BENCH_tier.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     emit(
-        "tiered store (hot tier vs cold multi-root reads)\n"
+        "tiered store (checkpoint compaction)\n"
         f"  objects           {_OBJECTS} across {len(status['roots'])} roots\n"
-        f"  cold reads        {cold_s * 1e3:8.2f} ms/round\n"
-        f"  hot reads         {hot_s * 1e3:8.2f} ms/round\n"
-        f"  speedup           {speedup:8.1f} x  (floor {_MIN_SPEEDUP:.0f}x)\n"
         f"  compaction        {batches_before} batch shard(s) -> "
         f"{report.batches_after}\n"
         f"  chain load        {load_before_s * 1e3:.2f} ms -> "
         f"{load_after_s * 1e3:.2f} ms"
-    )
-    assert speedup >= _MIN_SPEEDUP, (
-        f"hot tier only {speedup:.1f}x faster than the cold path"
     )
     assert report.batches_after == 1 < batches_before

@@ -435,7 +435,7 @@ class DatasetAnalyzer:
             from ..stream.checkpoint import StreamCheckpointer
 
             key = self._checkpoint_key(index)
-            loaded = StreamCheckpointer.load(self.store, key)
+            loaded = StreamCheckpointer.load(self.store, key, self.error_policy)
             if loaded is not None:
                 checkpointer, resume_state = loaded
             else:

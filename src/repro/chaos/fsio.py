@@ -73,9 +73,21 @@ def guard(op: str, path: str | Path) -> FaultRule | None:
 
 
 def read_bytes(path: str | Path) -> bytes:
-    """Read a whole file, with read-side faults applied to the result."""
+    """Read a whole file, with read-side faults applied to the result.
+
+    Every shard read reaches the disk, so this is plain ``os`` calls
+    sized by one ``fstat``: ``Path.read_bytes`` runs several times
+    slower while another thread holds the GIL (a busy service).
+    """
     rule = guard("read", path)
-    data = Path(path).read_bytes()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size)
+        while len(data) < size and (chunk := os.read(fd, size - len(data))):
+            data += chunk
+    finally:
+        os.close(fd)
     if rule is not None and rule.kind is FaultKind.BIT_FLIP:
         data = current_plane().flip_bit(data)
     return data

@@ -212,7 +212,7 @@ def _build_store_parser() -> argparse.ArgumentParser:
     )
     tier_sub = tier.add_subparsers(dest="tier_command", required=True)
     tier_status = tier_sub.add_parser(
-        "status", help="per-root placement, hot-tier, and rebalance state"
+        "status", help="per-root placement, replica, and rebalance state"
     )
     tier_init = tier_sub.add_parser(
         "init",
@@ -223,16 +223,6 @@ def _build_store_parser() -> argparse.ArgumentParser:
         "--root", action="append", default=None, metavar="PATH",
         help="additional object root (repeatable; absolute, or relative "
         "to the primary store dir)",
-    )
-    tier_init.add_argument(
-        "--hot-bytes", type=int, default=None, metavar="BYTES",
-        help="hot-tier RAM budget for verified shard bytes "
-        "(default 64 MiB)",
-    )
-    tier_init.add_argument(
-        "--pin", action="append", default=None, metavar="DIGEST",
-        help="pin a shard digest into the hot tier (repeatable; never "
-        "evicted once loaded)",
     )
     tier_init.add_argument(
         "--replicas", type=int, default=1, metavar="R",
@@ -485,18 +475,13 @@ def _store_main(argv: list[str]) -> int:
 def _store_tier_main(args) -> int:
     """The ``repro-study store tier`` subcommand family."""
     from ..store import ConnStore
-    from ..store.tier import DEFAULT_HOT_BYTES, compact_checkpoints, init_tier
+    from ..store.tier import compact_checkpoints, init_tier
 
     if args.tier_command == "init":
         try:
             store = init_tier(
                 args.store_dir,
                 roots=tuple(args.root or ()),
-                hot_bytes=(
-                    args.hot_bytes if args.hot_bytes is not None
-                    else DEFAULT_HOT_BYTES
-                ),
-                pinned=tuple(args.pin or ()),
                 replicas=args.replicas,
             )
         except (FileExistsError, ValueError) as exc:
@@ -580,13 +565,6 @@ def _store_tier_main(args) -> int:
     print(
         "  misplaced buckets: "
         + (", ".join(status["misplaced"]) if status["misplaced"] else "none")
-    )
-    hot = status["hot"]
-    print(
-        f"  hot tier: {hot['entries']} entries, {hot['bytes']}/"
-        f"{hot['max_bytes']} bytes, {hot['hits']} hits / "
-        f"{hot['misses']} misses, {hot['evictions']} evictions, "
-        f"{hot['pinned']} pinned"
     )
     return 0
 

@@ -163,7 +163,7 @@ class DaemonFileConfig:
     settings: dict[str, object] = field(default_factory=dict)
     #: ``tenants.<name>.flow_budget`` entries.
     tenant_flow_budgets: dict[str, int] = field(default_factory=dict)
-    #: Global rules plus per-tenant rules (the latter pinned to their
+    #: Global rules plus per-tenant rules (the latter bound to their
     #: tenant by construction).
     rules: tuple[AlertRule, ...] = ()
 
@@ -222,7 +222,7 @@ def load_daemon_config(path: str | Path) -> DaemonFileConfig:
           }
         }
 
-    Rules inside a tenant block are pinned to that tenant (any
+    Rules inside a tenant block are bound to that tenant (any
     ``tenant`` key they carry is overridden).  Unknown keys — top-level
     or per-tenant — raise ``ValueError`` naming the file: a typoed
     ``flow_budgt`` silently running with the default would be the worst

@@ -9,12 +9,12 @@ shards without touching a single pcap record.
 * :mod:`repro.store.shard` — the columnar, CRC-checked shard format.
 * :mod:`repro.store.cache` — :class:`ConnStore`, the one store class:
   content-addressed objects placed over one or more roots, replicas,
-  read-repair, and the hot tier.
+  and read-repair; every read re-verifies the bytes on disk.
 * :mod:`repro.store.query` — filtered scans and table aggregations.
 * :mod:`repro.store.scrub` — the integrity walk (resumable in bounded
   steps, or run to the end in one sitting), quarantine, repair.
-* :mod:`repro.store.tier` — the placement manifest, root health, hot
-  cache, and checkpoint compaction the store is built from.
+* :mod:`repro.store.tier` — the placement manifest, root health, and
+  checkpoint compaction the store is built from.
 """
 
 from .cache import DEFAULT_TMP_GRACE, CachedDataset, ConnStore, GcReport
@@ -24,7 +24,6 @@ from .scrub import RepairOutcome, ScrubFinding, ScrubReport, StoreScrubber
 from .shard import ShardError
 from .tier import (
     CompactionReport,
-    HotTier,
     PlacementManifest,
     RebalanceReport,
     compact_checkpoints,
@@ -45,7 +44,6 @@ __all__ = [
     "RepairOutcome",
     "SCHEMA_VERSION",
     "PlacementManifest",
-    "HotTier",
     "RebalanceReport",
     "CompactionReport",
     "compact_checkpoints",

@@ -55,7 +55,6 @@ from ..gen.datasets import DATASETS
 from ..util.addr import Subnet
 from .schema import SCHEMA_VERSION
 from .tier.health import HealthTracker, ReplicaRepairReport, UnderReplicatedQueue
-from .tier.hotcache import HotTier
 from .tier.placement import BUCKETS, PlacementManifest, RebalanceReport
 from .shard import (
     DatasetShard,
@@ -236,9 +235,9 @@ class ConnStore:
     keeps a dead root from slowing every operation: open roots are
     skipped by reads, re-routed around by writes, and probed again
     after a cooldown.  Every copy a failure prevented is enqueued in
-    ``under-replicated.json`` for ``store repair --replicas``.  Verified
-    bytes are kept in a bounded hot tier (:class:`HotTier`), so a
-    repeated read costs no I/O.
+    ``under-replicated.json`` for ``store repair --replicas``.  Every
+    read goes to disk and re-verifies the content address, so a copy
+    that rots after one read is caught by the next.
     """
 
     def __init__(self, root: str | Path, clock=time.monotonic) -> None:
@@ -248,7 +247,6 @@ class ConnStore:
         placement = PlacementManifest.load(self.root) or PlacementManifest()
         self.placement = placement
         self._root_paths = placement.resolve_roots(self.root)
-        self.hot = HotTier(placement.hot_bytes, placement.pinned)
         self.health = HealthTracker(
             len(self._root_paths),
             failure_threshold=placement.failure_threshold,
@@ -464,7 +462,6 @@ class ConnStore:
         want = placement.effective_replicas()
         strict = set(placement.replica_indices(bucket))
         copies = 0
-        published = False
         last_error: OSError | None = None
         for index in order:
             if copies >= want:
@@ -487,7 +484,6 @@ class ConnStore:
                 continue
             self.health.record_ok(index)
             copies += 1
-            published = True
         if copies == 0:
             raise last_error if last_error is not None else OSError(
                 f"no root accepted object {digest[:12]}…"
@@ -496,25 +492,22 @@ class ConnStore:
             not self._object_path_at(index, digest).exists() for index in strict
         ):
             self.repair_queue.add_object(digest)
-        if published:
-            # A (re)published shard must never be shadowed by an older
-            # cache entry — repair rewrites ride through here too.
-            self.hot.invalidate(digest)
         return digest
 
     def get_object(self, digest: str) -> bytes:
         """Load shard bytes, re-verifying the content address.
 
-        The hot tier answers first; otherwise every root is tried in
-        replica order, skipping roots whose breaker is open, and the
-        first copy whose bytes hash to the digest wins (and is copied
-        back to any replica root that lost its own).
+        Every root is tried in replica order, skipping roots whose
+        breaker is open, and the first copy whose bytes hash to the
+        digest wins (and is copied back to any replica root that lost
+        its own).  The scan starts at the bucket's *assigned* root, not
+        a pending move's destination: a rebalance reaps the old home
+        only after the copy landed, so a reader that finds the old home
+        empty is sure to find the new one full.
         """
-        data = self.hot.get(digest)
-        if data is not None:
-            return data
         corrupt: ShardError | None = None
-        order = self.placement.replica_order(PlacementManifest.bucket_of(digest))
+        bucket = PlacementManifest.bucket_of(digest)
+        order = self.placement.replica_order(bucket, self.placement.assign[bucket])
         for index in order:
             if not self.health.available(index):
                 continue  # open breaker: the replica fallback serves us
@@ -543,7 +536,6 @@ class ConnStore:
                 )
                 continue
             self.health.record_ok(index)
-            self.hot.put(digest, data)
             self._read_repair(digest, data)
             return data
         if corrupt is not None:
@@ -1052,7 +1044,6 @@ class ConnStore:
             "assign": {b: self.placement.assign[b] for b in BUCKETS},
             "moving": dict(self.placement.moving),
             "misplaced": list(self.placement.misplaced()),
-            "hot": self.hot.stats(),
             "replicas": self.placement.replicas,
             "effective_replicas": self.placement.effective_replicas(),
             "under_replicated": {
@@ -1126,7 +1117,6 @@ class ConnStore:
             if wrote:
                 report.objects_restored += 1
                 report.copies_written += wrote
-                self.hot.invalidate(digest)
             repaired.add(digest)
         repaired_manifests: set[str] = set()
         for key in sorted(keys):

@@ -70,7 +70,6 @@ from .cache import (
     ConnStore,
     DAEMON_DIR,
     DEFAULT_TMP_GRACE,
-    _OBJECT_SUFFIX,
     _TMP_SUFFIX,
     manifest_refs,
 )
@@ -271,11 +270,6 @@ class StoreScrubber:
         target_dir.mkdir(parents=True, exist_ok=True)
         target = target_dir / path.name
         os.replace(path, target)
-        if path.name.endswith(_OBJECT_SUFFIX):
-            # A quarantined shard must also leave the hot tier — cached
-            # bytes for a digest the store just disowned would keep
-            # serving after the disk copy is gone.
-            self.store.hot.invalidate(path.stem)
         sidecar = {
             "kind": kind,
             "detail": detail,

@@ -1,4 +1,4 @@
-"""Multi-root placement: routing table, root health, hot cache, compaction.
+"""Multi-root placement: routing table, root health, compaction.
 
 See ``docs/store.md`` (§ tiering) for the operational story.  The short
 version: every :class:`~repro.store.cache.ConnStore` lives by a
@@ -11,10 +11,8 @@ The rest of the pipeline never knows the difference.
 
 from .compact import CompactionReport, compact_checkpoints
 from .health import QUEUE_FILE, HealthTracker, ReplicaRepairReport, UnderReplicatedQueue
-from .hotcache import HotTier
 from .placement import (
     BUCKETS,
-    DEFAULT_HOT_BYTES,
     TIER_MANIFEST,
     PlacementManifest,
     PlacementManifestError,
@@ -25,9 +23,7 @@ from .placement import (
 __all__ = [
     "BUCKETS",
     "CompactionReport",
-    "DEFAULT_HOT_BYTES",
     "HealthTracker",
-    "HotTier",
     "PlacementManifest",
     "PlacementManifestError",
     "QUEUE_FILE",

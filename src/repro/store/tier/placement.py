@@ -43,7 +43,6 @@ __all__ = [
     "init_tier",
     "TIER_MANIFEST",
     "BUCKETS",
-    "DEFAULT_HOT_BYTES",
     "DEFAULT_FAILURE_THRESHOLD",
     "DEFAULT_COOLDOWN_S",
 ]
@@ -54,9 +53,6 @@ TIER_MANIFEST = "tier.json"
 
 #: The 16 placement buckets: the first hex character of a content address.
 BUCKETS = tuple("0123456789abcdef")
-
-#: Default hot-tier budget (bytes of decoded shard payloads kept in RAM).
-DEFAULT_HOT_BYTES = 64 << 20
 
 #: Consecutive I/O failures before a root's circuit breaker opens.
 DEFAULT_FAILURE_THRESHOLD = 3
@@ -101,9 +97,6 @@ class PlacementManifest:
     assign: dict[str, int] = field(default_factory=dict)
     #: in-flight rebalance cursor: bucket -> destination root index.
     moving: dict[str, int] = field(default_factory=dict)
-    hot_bytes: int = DEFAULT_HOT_BYTES
-    #: digests pinned into the hot tier (never evicted once loaded).
-    pinned: tuple[str, ...] = ()
     #: Copies of every object (and manifest) kept on distinct roots.
     #: 1 — the historical behavior — means no redundancy at all.
     replicas: int = 1
@@ -248,8 +241,6 @@ class PlacementManifest:
             "roots": list(self.roots),
             "assign": {b: self.assign[b] for b in BUCKETS},
             "moving": dict(sorted(self.moving.items())),
-            "hot_bytes": self.hot_bytes,
-            "pinned": sorted(self.pinned),
             "replicas": self.replicas,
             "failure_threshold": self.failure_threshold,
             "cooldown_s": self.cooldown_s,
@@ -257,12 +248,23 @@ class PlacementManifest:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PlacementManifest":
+        """Rebuild a placement from :meth:`to_payload` output.
+
+        A missing ``schema`` reads as 1; a newer one is refused rather
+        than read as if it were this version.  Keys this version does
+        not know, such as an older file's cache settings, are ignored
+        and never written back.
+        """
+        schema = int(payload.get("schema", 1))
+        if schema > _SCHEMA:
+            raise PlacementManifestError(
+                f"placement manifest schema {schema} is newer than "
+                f"supported schema {_SCHEMA}"
+            )
         return cls(
             roots=list(payload["roots"]),
             assign={str(k): int(v) for k, v in payload.get("assign", {}).items()},
             moving={str(k): int(v) for k, v in payload.get("moving", {}).items()},
-            hot_bytes=int(payload.get("hot_bytes", DEFAULT_HOT_BYTES)),
-            pinned=tuple(payload.get("pinned", ())),
             replicas=int(payload.get("replicas", 1)),
             failure_threshold=int(
                 payload.get("failure_threshold", DEFAULT_FAILURE_THRESHOLD)
@@ -305,8 +307,6 @@ class PlacementManifest:
 def init_tier(
     root: str | Path,
     roots: tuple[str, ...] = (),
-    hot_bytes: int = DEFAULT_HOT_BYTES,
-    pinned: tuple[str, ...] = (),
     replicas: int = 1,
 ) -> ConnStore:
     """Write a placement manifest onto a store root and open the store.
@@ -326,8 +326,6 @@ def init_tier(
         raise FileExistsError(f"{root / TIER_MANIFEST} already exists")
     placement = PlacementManifest(
         roots=["."] + [spec for spec in roots if spec != "."],
-        hot_bytes=hot_bytes,
-        pinned=tuple(pinned),
         replicas=replicas,
     )
     root.mkdir(parents=True, exist_ok=True)

@@ -34,6 +34,7 @@ attached (see ``docs/streaming.md``).
 from __future__ import annotations
 
 from ..analysis.conn import ConnRecord, ConnState
+from ..analysis.errors import ErrorPolicy
 from ..analysis.flow import FlowResult, FlowTable, PendingResult, _Flow, _Tombstone
 from ..analysis.tcpstate import TcpDirectionState, TcpFlowState
 from ..store import codec
@@ -423,22 +424,35 @@ class StreamCheckpointer:
         )
 
     @classmethod
-    def load(cls, store: ConnStore, key: str) -> "tuple[StreamCheckpointer, dict] | None":
+    def load(
+        cls,
+        store: ConnStore,
+        key: str,
+        error_policy: ErrorPolicy | str = ErrorPolicy.STRICT,
+    ) -> "tuple[StreamCheckpointer, dict] | None":
         """Open an existing checkpoint, or None when there is none to resume.
 
         A checkpoint whose state carries no format number, or one this
         version does not know (written by an older or newer engine), is
         retired: the caller then ingests the trace from offset 0, which
-        gives the same result a resume would have.
+        gives the same result a resume would have.  A state object that
+        is missing or does not verify or decode follows
+        :meth:`ConnStore.load_or_none`: strict raises the store's
+        :class:`ShardError`, the tolerant policies retire it the same way.
         """
         checkpointer = cls(store, key)
         manifest = store.lookup(checkpointer.manifest_key)
         if manifest is None or manifest.get("kind") != "checkpoint":
             return None
-        state = decode_state(
-            store.get_object(manifest["state"]),
-            str(store._object_path(manifest["state"])),
-        )
+        try:
+            state = decode_state(
+                store.get_object(manifest["state"]),
+                str(store._object_path(manifest["state"])),
+            )
+        except ShardError:
+            if ErrorPolicy.coerce(error_policy) is ErrorPolicy.STRICT:
+                raise
+            state = {}
         if state.get("format") != CHECKPOINT_FORMAT:
             checkpointer.clear()
             return None

@@ -141,7 +141,6 @@ def test_read_repair_restores_missing_copy_on_same_address(tmp_path):
     digest = next(iter(bodies))
     index, path = store.replica_paths(digest)[0]
     path.unlink()
-    store.hot.invalidate(digest)
     before = {p.stem for p in store._object_files()}
     assert store.get_object(digest) == bodies[digest]  # the repairing read
     assert path.exists()  # copy is back
@@ -201,7 +200,6 @@ def test_chaos_root_down_trips_breaker_and_reads_keep_serving(tmp_path):
     )
     with active(plane):
         for digest, data in bodies.items():
-            store.hot.invalidate(digest)
             assert store.get_object(digest) == data  # secondary serves
     assert store.health.is_open(0)  # the dead root was learned
     assert not store.health.is_open(1)
@@ -222,7 +220,6 @@ def test_chaos_flaky_root_reads_survive_eio(tmp_path):
     )
     with active(plane):
         for digest, data in bodies.items():
-            store.hot.invalidate(digest)
             assert store.get_object(digest) == data
     assert store.health.is_open(0)
 
@@ -256,7 +253,6 @@ def test_writes_reroute_around_a_down_root_and_enqueue_repair(tmp_path):
             if path.exists()
         ]
         assert len(copies) >= 2
-        store.hot.invalidate(digest)
         assert store.get_object(digest) == data
     queued_objects, _ = store.repair_queue.snapshot()
     assert set(routed_to_1) <= set(queued_objects)
@@ -321,16 +317,15 @@ def test_incremental_scrub_counts_replicas_across_step_boundaries(tmp_path):
     assert not report.ok
 
 
-def test_quarantine_invalidates_hot_cache_entry(tmp_path):
+def test_quarantined_object_is_not_served(tmp_path):
     store, bodies = replica_store(tmp_path, count=4)
     digest = next(iter(bodies))
-    assert store.get_object(digest) == bodies[digest]  # warm the hot tier
+    assert store.get_object(digest) == bodies[digest]
     for _, path in store.replica_paths(digest):
         path.write_bytes(b"rotten bytes that hash elsewhere")
     report = StoreScrubber(store).scrub()
     assert report.quarantined >= 2
-    # The regression this guards: without invalidation the hot tier
-    # would keep serving bytes the store just disowned.
+    # An earlier read must not keep serving bytes the store disowned.
     with pytest.raises(ShardError):
         store.get_object(digest)
 
@@ -436,7 +431,13 @@ def test_eight_threads_read_identically_while_root_dies_and_heals(
         thread.start()
     start.wait(timeout=30)
     try:
-        shutil.rmtree(store.roots()[1])  # hard-kill mid-load
+        # Hard-kill mid-load.  The root vanishes in one rename: every
+        # read goes to disk, so read-repair would refill a tree that
+        # ``rmtree`` is still walking.
+        victim = store.roots()[1]
+        dead = victim.with_name(victim.name + ".dead")
+        victim.rename(dead)
+        shutil.rmtree(dead)
         assert store.repair_replicas().ok  # and repair mid-flight
     finally:
         stop.set()

@@ -1,10 +1,10 @@
-"""The tiered store's unit layer: placement, routing, hot tier, rebalance.
+"""The tiered store's unit layer: placement, routing, reads, rebalance.
 
 The invariant everything else leans on: a tiered store is observably a
 ConnStore.  Same digests, same round trips, same typed errors — the
-only new behaviors are *where* bytes land (placement), *how fast* they
-come back (hot tier), and that no interleaving of rebalance steps can
-lose or mask a healthy copy.
+only new behaviors are *where* bytes land (placement), that every read
+re-verifies the bytes on disk, and that no interleaving of rebalance
+steps can lose or mask a healthy copy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.store import ConnStore, ShardError
 from repro.store.tier import (
     BUCKETS,
     TIER_MANIFEST,
-    HotTier,
     PlacementManifest,
     PlacementManifestError,
     init_tier,
@@ -53,15 +52,11 @@ def test_buckets_cover_every_digest_prefix():
 
 
 def test_manifest_round_trips_through_disk(tmp_path):
-    manifest = PlacementManifest(
-        roots=[".", str(tmp_path / "b")], hot_bytes=1234, pinned=("aa" * 32,)
-    )
+    manifest = PlacementManifest(roots=[".", str(tmp_path / "b")])
     manifest.save(tmp_path)
     loaded = PlacementManifest.load(tmp_path)
     assert loaded.roots == manifest.roots
     assert loaded.assign == manifest.assign
-    assert loaded.hot_bytes == 1234
-    assert loaded.pinned == ("aa" * 32,)
 
 
 def test_primary_root_must_come_first():
@@ -137,6 +132,40 @@ def test_store_cli_reports_a_torn_manifest(tmp_path, capsys, command):
     assert main(["store", *command, "--store-dir", str(root)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable placement manifest")
+    assert "Traceback" not in err
+
+
+def _write_newer_schema(root):
+    root.mkdir()
+    payload = PlacementManifest().to_payload()
+    payload["schema"] += 1
+    (root / TIER_MANIFEST).write_text(json.dumps(payload))
+    return payload["schema"]
+
+
+def test_newer_schema_is_refused_naming_both_versions(tmp_path):
+    root = tmp_path / "store"
+    newer = _write_newer_schema(root)
+    with pytest.raises(PlacementManifestError) as info:
+        ConnStore(root)
+    assert f"schema {newer}" in str(info.value)
+    assert f"schema {newer - 1}" in str(info.value)
+
+
+def test_missing_schema_reads_as_version_one(tmp_path):
+    payload = PlacementManifest(roots=[".", "b"]).to_payload()
+    del payload["schema"]
+    assert PlacementManifest.from_payload(payload).roots == [".", "b"]
+
+
+def test_store_cli_reports_a_newer_schema(tmp_path, capsys):
+    from repro.core.cli import main
+
+    root = tmp_path / "store"
+    _write_newer_schema(root)
+    assert main(["store", "ls", "--store-dir", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "newer than supported" in err
     assert "Traceback" not in err
 
 
@@ -252,53 +281,30 @@ def test_gc_and_stats_span_all_roots(tmp_path):
     assert all(not p.exists() for d in bodies for p in store._candidate_paths(d))
 
 
-# -- hot tier ----------------------------------------------------------------
+# -- reads -------------------------------------------------------------------
 
 
-def test_hot_tier_serves_reads_without_touching_disk(tmp_path):
-    store, bodies, _ = two_root_tier(tmp_path, count=4)
-    digest, data = next(iter(bodies.items()))
-    assert store.get_object(digest) == data  # cold read fills the tier
-    for path in store._candidate_paths(digest):
-        path.unlink(missing_ok=True)
-    assert store.get_object(digest) == data  # hot read: no file needed
-    assert store.hot.stats()["hits"] >= 1
+def test_every_read_reverifies_the_disk(tmp_path):
+    store = ConnStore(tmp_path / "store")
+    digest = store.put_object(b"shard bytes" * 9)
+    assert store.get_object(digest) == b"shard bytes" * 9
+    store._object_path(digest).write_bytes(b"other bytes" * 9)
+    with pytest.raises(ShardError) as info:
+        store.get_object(digest)
+    assert info.value.kind is ErrorKind.DECODE_ERROR
 
 
-def test_lru_evicts_oldest_unpinned_first():
-    hot = HotTier(max_bytes=100)
-    hot.put("a" * 64, b"x" * 40)
-    hot.put("b" * 64, b"y" * 40)
-    hot.get("a" * 64)  # refresh a: b is now LRU
-    hot.put("c" * 64, b"z" * 40)
-    assert hot.get("b" * 64) is None
-    assert hot.get("a" * 64) is not None and hot.get("c" * 64) is not None
-    assert hot.stats()["evictions"] == 1
-
-
-def test_oversize_payloads_are_never_admitted():
-    hot = HotTier(max_bytes=10)
-    hot.put("a" * 64, b"x" * 11)
-    assert hot.get("a" * 64) is None and hot.stats()["entries"] == 0
-
-
-def test_pinned_entries_survive_eviction_pressure():
-    pinned = "p" * 64
-    hot = HotTier(max_bytes=50, pinned=(pinned,))
-    hot.put(pinned, b"keep" * 10)
-    for index in range(8):
-        hot.put(f"{index:x}" * 64, b"fill" * 10)
-    assert hot.get(pinned) == b"keep" * 10
-
-
-def test_invalidate_and_clear():
-    hot = HotTier(max_bytes=100)
-    hot.put("a" * 64, b"bytes")
-    hot.invalidate("a" * 64)
-    assert hot.get("a" * 64) is None
-    hot.put("b" * 64, b"bytes")
-    hot.clear()
-    assert hot.stats()["entries"] == 0 and hot.stats()["bytes"] == 0
+def test_a_copy_rotted_after_a_read_falls_back_to_its_replica(tmp_path):
+    store = init_tier(tmp_path / "store", roots=(str(tmp_path / "b"),), replicas=2)
+    data = b"replicated shard" * 9
+    digest = store.put_object(data)
+    assert store.get_object(digest) == data
+    (_, first), (_, second) = store.replica_paths(digest)
+    first.write_bytes(b"rotted" * 9)
+    assert store.get_object(digest) == data
+    second.write_bytes(b"rotted" * 9)
+    with pytest.raises(ShardError):
+        store.get_object(digest)
 
 
 # -- surface integration -----------------------------------------------------
@@ -308,5 +314,5 @@ def test_tier_status_reaches_store_stats_and_health_shape(tmp_path):
     store, _, _ = two_root_tier(tmp_path, count=4)
     payload = store.stats()["tier"]
     assert {r["spec"] for r in payload["roots"]} == set(store.placement.roots)
-    assert set(payload) >= {"roots", "assign", "moving", "misplaced", "hot"}
+    assert set(payload) >= {"roots", "assign", "moving", "misplaced"}
     json.dumps(payload)  # must be JSON-serializable for /health

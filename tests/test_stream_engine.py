@@ -215,3 +215,54 @@ class TestCheckpointResume:
             plain, dataset, digests
         )
         assert list(store.checkpoints()) == []
+
+    @pytest.mark.parametrize(
+        "policy", [ErrorPolicy.STRICT, ErrorPolicy.TOLERANT],
+        ids=["strict", "tolerant"],
+    )
+    def test_damaged_checkpoint_state_costs_a_reread(
+        self, dataset, tmp_path, monkeypatch, policy
+    ):
+        """A state object that no longer verifies: strict raises the
+        store's ShardError, tolerant retires the checkpoint and ingests
+        the trace from offset 0."""
+        import json
+
+        from repro.store import ShardError
+
+        store = ConnStore(tmp_path / "store")
+        plain = _run(_make(dataset, policy=policy), dataset)
+
+        real_iter = PacketSource.__iter__
+        budget = {"left": 250}
+
+        def crashing(self):
+            for pkt in real_iter(self):
+                budget["left"] -= 1
+                if budget["left"] < 0:
+                    raise RuntimeError("simulated crash")
+                yield pkt
+
+        monkeypatch.setattr(PacketSource, "__iter__", crashing)
+        crashed = _make(
+            dataset, policy=policy, checkpoint_every=100, store=store,
+            checkpoint_base="ck",
+        )
+        with pytest.raises(RuntimeError):
+            crashed.process_pcap(dataset.traces[0].path)
+        monkeypatch.setattr(PacketSource, "__iter__", real_iter)
+
+        (path,) = sorted(store.manifests_dir.glob("ckpt-*.json"))
+        state = json.loads(path.read_text())["state"]
+        store._object_path(state).write_bytes(b"not the state it was")
+
+        resumed = _make(
+            dataset, policy=policy, checkpoint_every=100, store=store,
+            checkpoint_base="ck",
+        )
+        if policy is ErrorPolicy.STRICT:
+            with pytest.raises(ShardError):
+                _run(resumed, dataset)
+            return
+        _assert_same_analysis(plain, _run(resumed, dataset))
+        assert list(store.checkpoints()) == []
